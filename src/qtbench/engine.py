@@ -129,7 +129,11 @@ def method_is_factorized(protocol: str, dims: tuple) -> bool:
 
 @dataclass
 class RunResult:
-    """Per-run outcome of one numerical tomography experiment."""
+    """Per-run outcome of one numerical tomography experiment.
+
+    ``converged`` and ``iterations`` come from the final estimator report;
+    they are None for failed runs and for raw files written without them.
+    """
 
     n_total: int
     fidelity: float
@@ -140,6 +144,8 @@ class RunResult:
     seed: int
     failed: bool = False
     error: str | None = None
+    converged: bool | None = None
+    iterations: int | None = None
 
 
 @dataclass
@@ -299,7 +305,8 @@ def run_experiment(config: CampaignConfig, n_total: int,
         return RunResult(n_total=n_total, fidelity=f,
                          bases_count=len(records), t_protocol=t_protocol,
                          t_estimator=t_estimator, run_index=run_index,
-                         seed=seed_int)
+                         seed=seed_int, converged=report.converged,
+                         iterations=report.iterations)
     except Exception as exc:  # a failed run is data, not a crash
         return RunResult(n_total=n_total, fidelity=float("nan"),
                          bases_count=0, t_protocol=0.0, t_estimator=0.0,
@@ -370,6 +377,9 @@ def raw_line(config: CampaignConfig, result: RunResult) -> str:
         "t_protocol_s": result.t_protocol,
         "t_estimator_s": result.t_estimator,
         "failed": result.failed,
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "error": result.error,
     })
 
 
@@ -386,5 +396,8 @@ def parse_raw_line(line: str) -> tuple[dict, RunResult]:
         t_estimator=float(row["t_estimator_s"]),
         run_index=int(row["run"]),
         seed=int(row["seed"]),
-        failed=bool(row["failed"]))
+        failed=bool(row["failed"]),
+        error=row.get("error"),
+        converged=row.get("converged"),
+        iterations=row.get("iterations"))
     return context, result

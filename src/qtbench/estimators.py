@@ -21,6 +21,7 @@ MAX_ITERATIONS = 5000
 FIXED_POINT_TOL = 1e-9   # max-entry residual of the likelihood equation;
                          # at large sample sizes looser stops leave a bias
                          # comparable to the statistical error
+NEWTON_BELOW = 1e-3      # trml residual below which Newton steps are tried
 FRLS_KKT_TOL = 1e-7      # gradient-mapping residual of the least-squares fit
 MERGE_EXPECTED_FLOOR = 1e-9
 
@@ -268,10 +269,77 @@ def frml(records) -> EstimatorReport:
                            converged=converged)
 
 
+def _real(z: np.ndarray) -> np.ndarray:
+    """Real embedding [Re z; Im z] of a complex array, flattened."""
+    return np.concatenate([z.real.ravel(), z.imag.ravel()])
+
+
+def _gauge_complement(c: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the real directions at c orthogonal to
+    the U(r) gauge orbit c -> c U, whose tangents are c A with A
+    anti-Hermitian."""
+    r = c.shape[1]
+    tangents = []
+    for j in range(r):
+        for k in range(r):
+            a = np.zeros((r, r), dtype=complex)
+            if j == k:
+                a[j, j] = 1j
+            elif j < k:
+                a[j, k], a[k, j] = 1.0, -1.0
+            else:
+                a[j, k] = a[k, j] = 1j
+            tangents.append(_real(c @ a))
+    return np.linalg.svd(np.column_stack(tangents))[0][:, r * r:]
+
+
+def _newton_step(povm, freq, p, c, r_op) -> np.ndarray:
+    """Newton step for the root factor c (unit norm) on the extended
+    log-likelihood F(c) = sum_k f_k ln Tr(P_k c c^dag) - Tr(c c^dag), whose
+    stationary points are those of the likelihood with Tr(c c^dag) = 1.
+
+    In the real embedding x = [Re c; Im c], with g_k the embedding of P_k c,
+    grad F = 2 (R c - c) and
+    hess F = 2 R (x) I_r - 4 sum_k f_k g_k g_k^T / p_k^2 - 2 I.
+    F is constant along the U(r) gauge c -> c U, so the step is solved by
+    least squares in the directions orthogonal to it; a step along the
+    gauge would only rotate c, and off the stationary point its curvature
+    is of the order of the gradient, which would blow such a step up.
+    """
+    d, r = c.shape
+    mask = freq > 0
+    g = np.einsum("kij,jr->kir", povm[mask], c).reshape(-1, d * r)
+    g = np.hstack([g.real, g.imag])
+    weights = freq[mask] / p[mask] ** 2
+    x = _real(c)
+    grad = 2.0 * (_real(r_op @ c) - x)
+    rk = np.kron(r_op, np.eye(r))   # R acting on c.ravel()
+    hess = (2.0 * np.block([[rk.real, -rk.imag], [rk.imag, rk.real]])
+            - 4.0 * (g.T * weights) @ g - 2.0 * np.eye(x.size))
+    basis = _gauge_complement(c)
+    y = np.linalg.lstsq(basis.T @ hess @ basis, -(basis.T @ grad),
+                        rcond=None)[0]
+    step = basis @ y
+    return (step[:d * r] + 1j * step[d * r:]).reshape(d, r)
+
+
 def trml(records, r: int) -> EstimatorReport:
     """Rank-restricted maximum likelihood over rho = c c^dag with c of shape
-    (d, r) and unit trace, by backtracking gradient ascent on the root factor.
-    Initialized from the top-r subspace of the pseudo-inversion estimate."""
+    (d, r) and unit trace. Initialized from the top-r subspace of the
+    pseudo-inversion estimate.
+
+    Far from the optimum, backtracking gradient ascent on the root factor.
+    Once the residual max|R c - mu c| of the likelihood equation falls below
+    NEWTON_BELOW, a Newton step (_newton_step) is tried first at every
+    iteration and kept when it lowers the residual; after a rejected Newton
+    step, the next waits until gradient steps have lowered the residual
+    tenfold. The Newton finish is needed because near the optimum a gradient
+    step changes the log-likelihood by about residual^2, below what double
+    precision resolves, so likelihood tests stop telling good steps from bad.
+    The fit converges when the residual is at most FIXED_POINT_TOL; it stops
+    unconverged at MAX_ITERATIONS or when no gradient step improves the
+    likelihood.
+    """
     povm, counts, _ = _stack(records)
     d = povm.shape[1]
     if not 1 <= r <= d:
@@ -289,18 +357,38 @@ def trml(records, r: int) -> EstimatorReport:
         mask = freq > 0
         return float(np.sum(freq[mask] * np.log(p[mask]))), p
 
+    def residual_of(c_mat, p):
+        r_op = _likelihood_operator(povm, freq, p)
+        rc = r_op @ c_mat
+        mu = float(np.real(np.trace(c_mat.conj().T @ rc)))
+        return r_op, rc, float(np.max(np.abs(rc - mu * c_mat)))
+
     ll, p = loglik_of(c)
+    r_op, rc, residual = residual_of(c, p)
+    newton_below = NEWTON_BELOW
     alpha = 1.0
     converged = False
     it = 0
     for it in range(1, MAX_ITERATIONS + 1):
-        r_op = _likelihood_operator(povm, freq, p)
-        rc = r_op @ c
-        mu = float(np.real(np.trace(c.conj().T @ rc)))
-        residual = float(np.max(np.abs(rc - mu * c)))
         if residual <= FIXED_POINT_TOL:
-            converged = True
-            break
+            # the max-entry residual depends on the gauge of c: judge it on
+            # the estimate's own root factor V sqrt(lambda)
+            u, sv, _ = np.linalg.svd(c, full_matrices=False)
+            c = u * sv
+            r_op, rc, residual = residual_of(c, p)
+            if residual <= FIXED_POINT_TOL:
+                converged = True
+                break
+        if residual <= newton_below:
+            cand = c + _newton_step(povm, freq, p, c, r_op)
+            cand /= np.linalg.norm(cand)
+            ll_cand, p_cand = loglik_of(cand)
+            r_cand = residual_of(cand, p_cand)
+            if r_cand[2] < residual:
+                c, ll, p = cand, ll_cand, p_cand
+                r_op, rc, residual = r_cand
+                continue
+            newton_below = residual / 10.0
         improved = False
         while alpha > 1e-12:
             cand = c + alpha * rc
@@ -311,9 +399,9 @@ def trml(records, r: int) -> EstimatorReport:
                 break
             alpha /= 2.0
         if not improved:
-            converged = residual <= 10 * FIXED_POINT_TOL
             break
         c, ll, p = cand, ll_cand, p_cand
+        r_op, rc, residual = residual_of(c, p)
         alpha = min(alpha * 2.0, 1e3)
     est = hermitize(c @ c.conj().T)
     est /= np.real(np.trace(est))

@@ -30,7 +30,8 @@ from qtbench.states import TestKind, gen_rps
 
 def result_key(r):
     # wall-clock fields vary between reruns; everything else is seeded
-    return (r.n_total, r.run_index, r.seed, r.fidelity, r.bases_count, r.failed)
+    return (r.n_total, r.run_index, r.seed, r.fidelity, r.bases_count, r.failed,
+            r.converged, r.iterations)
 
 
 def make_config(**kw):
@@ -289,11 +290,15 @@ class TestRawPersistence:
         row = json.loads(raw_line(config, res))
         assert list(row) == ["test", "dims", "protocol", "estimator", "N",
                              "run", "seed", "fidelity", "M", "t_protocol_s",
-                             "t_estimator_s", "failed"]
+                             "t_estimator_s", "failed", "converged",
+                             "iterations", "error"]
         assert row["test"] == "rps"
         assert row["dims"] == [2, 2]
         assert row["estimator"] == "trml:1"
         assert row["failed"] is False
+        assert row["converged"] is True
+        assert row["iterations"] >= 1
+        assert row["error"] is None
 
     def test_round_trip(self):
         config = make_config()
@@ -309,6 +314,18 @@ class TestRawPersistence:
                         failed=True, error="x")
         row = json.loads(raw_line(config, res))
         assert row["fidelity"] is None
+        assert row["error"] == "x"
+        _, back = parse_raw_line(raw_line(config, res))
+        assert back.failed and back.error == "x" and back.converged is None
+
+    def test_reads_lines_without_convergence_fields(self):
+        config = make_config(estimator="trml:1")
+        row = json.loads(raw_line(config, run_experiment(config, 500, 0)))
+        for key in ("converged", "iterations", "error"):
+            del row[key]
+        _, back = parse_raw_line(json.dumps(row))
+        assert back.converged is None and back.iterations is None
+        assert back.error is None and not back.failed
 
 
 class TestDefaultGrid:

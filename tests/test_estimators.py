@@ -5,6 +5,7 @@ import pytest
 
 from qtbench.engine import born_probabilities, sample_counts
 from qtbench.estimators import (
+    FIXED_POINT_TOL,
     MeasurementRecord,
     arml,
     chi2_pvalue,
@@ -32,6 +33,25 @@ def sampled_records(rho, specs, shots, rng):
                               sample_counts(born_probabilities(rho, s.povm),
                                             shots, rng))
             for s in specs]
+
+
+def root_factor_residual(est, records, r):
+    """max|R c - mu c| of the likelihood equation at the rank-r root factor
+    c = V sqrt(lambda) of est (top r eigenpairs). Eigenvalues below 1e-14
+    are roundoff of zero eigenvalues and count as zero: their square roots
+    would add columns of norm ~1e-8 that no estimate can pin down."""
+    w, v = np.linalg.eigh(est.mat)
+    c = v[:, -r:] * np.sqrt(np.where(w[-r:] < 1e-14, 0.0, w[-r:]))
+    n = sum(rec.counts.sum() for rec in records)
+    r_op = np.zeros_like(est.mat)
+    for rec in records:
+        probs = born_probabilities(est, rec.spec.povm)
+        for count, prob, elem in zip(rec.counts, probs, rec.spec.povm.elements):
+            if count > 0:
+                r_op += (count / n / prob) * elem
+    rc = r_op @ c
+    mu = np.real(np.trace(c.conj().T @ rc))
+    return float(np.max(np.abs(rc - mu * c)))
 
 
 def least_squares_objective(est, records):
@@ -242,6 +262,36 @@ class TestTrml:
             inf_f = 1 - fidelity(rho, frml(recs).estimate)
             gaps.append(inf_f - inf_t)
         assert np.median(gaps) > 0
+
+    def test_converges_where_gradient_ascent_stalled(self):
+        # seeded two-qubit FMUB records on which backtracking gradient ascent
+        # alone wanders at residuals of a few 1e-9 until MAX_ITERATIONS (one
+        # N = 10^4 and one N = 10^5 input of this seed)
+        rng = np.random.default_rng(90)
+        specs = fmub_protocol((2, 2))
+        for n_total in (1000, 10_000, 100_000):
+            for _ in range(5):
+                rho = gen_rps((2, 2), rng)
+                rep = trml(sampled_records(rho, specs, n_total // 9, rng), 1)
+                assert rep.converged
+                assert rep.iterations <= 100
+
+    def test_converged_flag_is_honest(self):
+        rng = np.random.default_rng(91)
+        specs = fmub_protocol((2, 2))
+        converged = 0
+        for make in (gen_rps, lambda dims, g: gen_rmspt(dims, 2, g),
+                     lambda dims, g: gen_rmspt(dims, 4, g)):
+            for n_total in (1000, 100_000):
+                rho = make((2, 2), rng)
+                recs = sampled_records(rho, specs, n_total // 9, rng)
+                for r in (1, 2, 3, 4):
+                    rep = trml(recs, r)
+                    if rep.converged:
+                        converged += 1
+                        assert (root_factor_residual(rep.estimate, recs, r)
+                                <= FIXED_POINT_TOL)
+        assert converged >= 20
 
     def test_rank_out_of_range(self):
         rng = np.random.default_rng(73)
