@@ -39,7 +39,8 @@ for protocol in ("amub", "fo"):
         if step % 5 == 1 or protocol == "fo":
             # how well does this basis align with the true eigenbasis?
             truth = eig_hermitian(rho.mat)[1][:, 0]
-            best = float(np.max(np.abs(spec.basis.conj().T @ truth) ** 2))
+            best = float(np.max(np.real(np.einsum(
+                "i,kij,j->k", truth.conj(), spec.povm.elements, truth))))
             print(f"  setting {step:>3}: {shots:>4} shots, best overlap of a "
                   f"basis vector with the true state: {best:.4f}")
     report = estimator(records)

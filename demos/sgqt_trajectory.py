@@ -11,14 +11,14 @@ import numpy as np
 
 from qtbench import MeasurementRecord, born_probabilities, sample_counts
 from qtbench.qcore import fidelity
-from qtbench.sgqt import sgqt_method
+from qtbench.sgqt import SgqtHandler
 from qtbench.states import gen_rps
 
 BUDGET = 60_000  # 300 iterations at 2 x 100 shots each
 rng = np.random.default_rng(21)
 
 rho = gen_rps((2,), rng)
-handler, estimator = sgqt_method((2,), BUDGET, rng)
+handler = SgqtHandler((2,), BUDGET, rng)
 
 records, measured = [], 0
 marks = {1, 3, 10, 30, 100, 300}
@@ -34,7 +34,7 @@ while measured < BUDGET:
     records.append(MeasurementRecord(spec, sample_counts(probs, spec.shots, rng)))
     measured += spec.shots
 
-final = fidelity(rho, estimator(records).estimate)
+final = fidelity(rho, handler.estimate(records).estimate)
 print(f"\nfinal fidelity after {measured} copies: {final:.5f}")
 print("Convergence is stochastic but steady: the gain schedule shrinks both")
 print("the perturbation size and the step length as iterations accumulate.")

@@ -32,13 +32,13 @@ from .states import (
 )
 from .mub import SUPPORTED_MUB_DIMS, mub_bases
 from .protocols import (
+    AmubHandler,
+    FoHandler,
+    FomubHandler,
     MeasurementSpec,
     Povm,
     allocate_shots,
-    amub_handler,
     fmub_protocol,
-    fo_handler,
-    fomub_handler,
     mub_protocol,
     orthogonal_product_vector,
     pauli_protocol,
@@ -54,7 +54,7 @@ from .estimators import (
     ppi,
     trml,
 )
-from .sgqt import SgqtParams, sgqt_method
+from .sgqt import SgqtHandler, SgqtParams
 from .engine import (
     CampaignConfig,
     CampaignError,

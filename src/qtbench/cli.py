@@ -20,11 +20,13 @@ from .engine import (
     CampaignError,
     ConfigError,
     default_grid,
+    format_method,
     method_is_factorized,
     parse_method,
     raw_line,
     parse_raw_line,
     run_campaign,
+    validate_method,
 )
 from .sgqt import SgqtParams
 from .states import TestKind
@@ -125,9 +127,14 @@ def _workers(args) -> int:
     return int(env) if env else 1
 
 
+def _file_stem(method: str) -> str:
+    """A method identifier as it appears in output file names."""
+    return method.replace("+", "-").replace(":", "")
+
+
 def _raw_path(out_dir: str, config: CampaignConfig) -> str:
-    method = config.method.replace("+", "-").replace(":", "")
-    return os.path.join(out_dir, f"raw_{config.test.value}_{method}.jsonl")
+    return os.path.join(out_dir, f"raw_{config.test.value}_"
+                        f"{_file_stem(config.method)}.jsonl")
 
 
 def cmd_analyze(args) -> int:
@@ -148,18 +155,19 @@ def cmd_analyze(args) -> int:
             fh.flush()
             ok = [r for r in batch if not r.failed]
             failed = len(batch) - len(ok)
+            unconverged = sum(r.converged is False for r in batch)
             note = f", {failed} failed" if failed else ""
+            note += f", {unconverged} unconverged" if unconverged else ""
             p95 = np.quantile([1.0 - r.fidelity for r in ok], 0.95) if ok else float("nan")
             print(f"  N={n}: {len(batch)} runs{note}, [1-F]_95={p95:.3e}",
                   file=sys.stderr)
 
         try:
-            results = run_campaign(config, workers=workers, on_batch=on_batch)
+            run_campaign(config, workers=workers, on_batch=on_batch)
         except CampaignError as exc:
             print(f"campaign failed: {exc}", file=sys.stderr)
             return 1
-    failed = sum(r.failed for r in results)
-    return 0 if failed <= 0.01 * len(results) else 1
+    return 0
 
 
 def _load_raw(paths):
@@ -192,7 +200,8 @@ def cmd_report(args) -> int:
             raise ConfigError("raw files mix different tests or dimensions")
     methods = []
     for ctx, _ in campaigns:
-        method = ctx["protocol"] + (f"+{ctx['estimator']}" if ctx["estimator"] else "")
+        validate_method(ctx["protocol"], ctx["estimator"], ctx["dims"])
+        method = format_method(ctx["protocol"], ctx["estimator"])
         if method in methods:
             raise ConfigError(f"duplicate method row {method!r}")
         methods.append(method)
@@ -208,9 +217,8 @@ def cmd_report(args) -> int:
         factorized = method_is_factorized(ctx["protocol"], dims)
         reports.append(compile_report(results, args.fb, d, r_true,
                                       method=method, factorized=factorized))
-        curve_name = method.replace("+", "-").replace(":", "")
-        write_curve_csv(build_curve(results),
-                        os.path.join(args.out, f"curve_{curve_name}.csv"))
+        write_curve_csv(build_curve(results), os.path.join(
+            args.out, f"curve_{_file_stem(method)}.csv"))
 
     write_report_csv(reports, os.path.join(args.out, "report.csv"))
     write_report_json(reports, os.path.join(args.out, "report.json"))

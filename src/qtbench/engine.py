@@ -11,25 +11,28 @@ measurement records.
 import json
 import math
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .estimators import MeasurementRecord, arml, frls, frml, ppi, trml
 from .mub import SUPPORTED_MUB_DIMS
 from .protocols import (
+    AmubHandler,
+    FoHandler,
+    FomubHandler,
     Povm,
-    amub_handler,
+    StaticHandler,
     fmub_protocol,
-    fo_handler,
-    fomub_handler,
+    fo_min_budget,
     mub_protocol,
     pauli_protocol,
-    static_handler,
 )
 from .qcore import DensityMatrix, fidelity
-from .sgqt import SgqtParams, sgqt_method
+from .sgqt import SgqtHandler, SgqtParams
 from .states import TestKind, generate_state
 from .stats import lower_bound_NB, rank_for_test
 
@@ -46,21 +49,92 @@ class CampaignError(RuntimeError):
         self.results = results or []
 
 
-PROTOCOL_IDS = ("mub", "fmub", "pauli", "amub", "fo", "fomub")
-ESTIMATOR_IDS = ("ppi", "frls", "frml", "trml", "arml")
-ADAPTIVE_PROTOCOLS = ("amub", "fo", "fomub")
-
 _TEST_CODE = {TestKind.RPS: 1, TestKind.RMSPT2: 2, TestKind.RMSPTD: 3,
               TestKind.RNP: 4}
 
-_FACTORIZED_PROTOCOLS = ("fmub", "pauli", "fo", "fomub")
+
+# --- the method registry -------------------------------------------------------
+
+@dataclass(frozen=True)
+class ProtocolRow:
+    """One protocol of the method registry: how it builds a run's handler,
+    which systems it accepts and the smallest sample size from which a run
+    yields an estimate (below it every run fails)."""
+
+    build: Callable   # (config, n_total, estimator, rng) -> handler
+    min_n: Callable   # config -> smallest workable sample size
+    mub_dims: Callable = lambda dims: ()   # dimensions that need a MUB set
+    qubits_only: bool = False
+    multipartite: bool = False             # needs at least two subsystems
+    factorized: bool = False
+    takes_estimator: bool = True
+
+
+PROTOCOLS = {
+    "mub": ProtocolRow(
+        build=lambda c, n, est, rng: StaticHandler(mub_protocol(c.dims), n),
+        min_n=lambda c: math.prod(c.dims) + 1,
+        mub_dims=lambda dims: (math.prod(dims),)),
+    "fmub": ProtocolRow(
+        build=lambda c, n, est, rng: StaticHandler(fmub_protocol(c.dims), n),
+        min_n=lambda c: math.prod(dj + 1 for dj in c.dims),
+        mub_dims=lambda dims: dims, factorized=True),
+    "pauli": ProtocolRow(
+        build=lambda c, n, est, rng: StaticHandler(
+            pauli_protocol(len(c.dims)), n),
+        min_n=lambda c: 4 ** len(c.dims) - 1, qubits_only=True,
+        factorized=True),
+    "amub": ProtocolRow(
+        build=lambda c, n, est, rng: AmubHandler(c.dims, est, n),
+        min_n=lambda c: math.prod(c.dims) + 1,
+        mub_dims=lambda dims: (math.prod(dims),)),
+    "fo": ProtocolRow(
+        build=lambda c, n, est, rng: FoHandler(c.dims, est, rng, n),
+        min_n=lambda c: fo_min_budget(c.dims), multipartite=True,
+        factorized=True),
+    "fomub": ProtocolRow(
+        build=lambda c, n, est, rng: FomubHandler(c.dims, est, rng, n),
+        min_n=lambda c: math.prod(dj + 1 for dj in c.dims),
+        mub_dims=lambda dims: dims, multipartite=True, factorized=True),
+    "sgqt": ProtocolRow(
+        build=lambda c, n, est, rng: SgqtHandler(c.dims, n, rng, c.sgqt),
+        min_n=lambda c: 2 * (c.sgqt or SgqtParams()).shots_per_eval,
+        takes_estimator=False),
+}
+
+# estimator name -> (fit, whether it takes a rank argument as in 'trml:1')
+ESTIMATORS = {"ppi": (ppi, False), "frls": (frls, False),
+              "frml": (frml, False), "trml": (trml, True),
+              "arml": (arml, False)}
+
+
+def _estimator(estimator: str, d: int):
+    """The fit an estimator identifier names, checked against dimension d."""
+    name, _, arg = estimator.partition(":")
+    if name not in ESTIMATORS:
+        raise ConfigError(f"unknown estimator {name!r}; expected one of "
+                          f"{tuple(ESTIMATORS)}")
+    fit, ranked = ESTIMATORS[name]
+    if not ranked:
+        if arg:
+            raise ConfigError(f"estimator {name!r} takes no argument")
+        return fit
+    if not arg:
+        raise ConfigError(f"{name} requires a rank argument, e.g. '{name}:1'")
+    try:
+        r = int(arg)
+    except ValueError:
+        raise ConfigError(f"invalid {name} rank {arg!r}") from None
+    if not 1 <= r <= d:
+        raise ConfigError(f"{name} rank {r} outside 1..{d}")
+    return partial(fit, r=r)
 
 
 def parse_method(method: str) -> tuple[str, str | None]:
     """Split a method identifier 'protocol+estimator' (or 'sgqt')."""
     method = method.strip()
-    if method == "sgqt":
-        return "sgqt", None
+    if method in PROTOCOLS and not PROTOCOLS[method].takes_estimator:
+        return method, None
     if "+" not in method:
         raise ConfigError(
             f"method {method!r} must be 'protocol+estimator' or 'sgqt'")
@@ -68,63 +142,41 @@ def parse_method(method: str) -> tuple[str, str | None]:
     return protocol.strip(), estimator.strip()
 
 
+def format_method(protocol: str, estimator: str | None) -> str:
+    """The method identifier parse_method splits."""
+    return protocol if estimator is None else f"{protocol}+{estimator}"
+
+
 def validate_method(protocol: str, estimator: str | None, dims: tuple):
     """Reject unknown or inconsistent method identifiers up front."""
-    dims = tuple(int(x) for x in dims)
-    d = int(np.prod(dims))
-    if protocol == "sgqt":
-        if estimator is not None:
-            raise ConfigError("sgqt is a combined method and takes no estimator")
-        return
-    if protocol not in PROTOCOL_IDS:
+    if protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol!r}; expected one of "
-                          f"{PROTOCOL_IDS + ('sgqt',)}")
-    if estimator is None:
+                          f"{tuple(PROTOCOLS)}")
+    row = PROTOCOLS[protocol]
+    if not row.takes_estimator:
+        if estimator is not None:
+            raise ConfigError(
+                f"{protocol} is a combined method and takes no estimator")
+    elif estimator is None:
         raise ConfigError(f"protocol {protocol!r} requires an estimator")
-    name, _, arg = estimator.partition(":")
-    if name not in ESTIMATOR_IDS:
-        raise ConfigError(f"unknown estimator {name!r}; expected one of "
-                          f"{ESTIMATOR_IDS}")
-    if name == "trml":
-        if not arg:
-            raise ConfigError("trml requires a rank argument, e.g. 'trml:1'")
-        try:
-            r = int(arg)
-        except ValueError:
-            raise ConfigError(f"invalid trml rank {arg!r}") from None
-        if not 1 <= r <= d:
-            raise ConfigError(f"trml rank {r} outside 1..{d}")
-    elif arg:
-        raise ConfigError(f"estimator {name!r} takes no argument")
-    if protocol in ("mub", "amub") and d not in SUPPORTED_MUB_DIMS:
-        raise ConfigError(f"total dimension {d} outside the MUB-supported set "
-                          f"{SUPPORTED_MUB_DIMS}")
-    if protocol in ("fmub", "fomub"):
-        for dj in dims:
-            if dj not in SUPPORTED_MUB_DIMS:
-                raise ConfigError(f"subsystem dimension {dj} outside the "
-                                  f"MUB-supported set {SUPPORTED_MUB_DIMS}")
-    if protocol == "pauli" and any(x != 2 for x in dims):
-        raise ConfigError("the Pauli protocol is defined for qubit registers")
-    if protocol in ("fo", "fomub") and len(dims) < 2:
-        raise ConfigError(f"protocol {protocol!r} needs at least two subsystems")
-
-
-def static_setting_count(protocol: str, dims: tuple) -> int | None:
-    """Number of settings of a static protocol (None for adaptive methods)."""
-    dims = tuple(int(x) for x in dims)
-    if protocol == "mub":
-        return int(np.prod(dims)) + 1
-    if protocol == "fmub":
-        return int(np.prod([dj + 1 for dj in dims]))
-    if protocol == "pauli":
-        return 4 ** len(dims) - 1
-    return None
+    else:
+        _estimator(estimator, math.prod(dims))
+    for dj in row.mub_dims(dims):
+        if dj not in SUPPORTED_MUB_DIMS:
+            raise ConfigError(f"protocol {protocol!r} needs MUBs in dimension "
+                              f"{dj}, outside the MUB-supported set "
+                              f"{SUPPORTED_MUB_DIMS}")
+    if row.qubits_only and any(x != 2 for x in dims):
+        raise ConfigError(
+            f"protocol {protocol!r} is defined for qubit registers")
+    if row.multipartite and len(dims) < 2:
+        raise ConfigError(
+            f"protocol {protocol!r} needs at least two subsystems")
 
 
 def method_is_factorized(protocol: str, dims: tuple) -> bool:
     """Whether the protocol uses factorized (per-subsystem) measurements only."""
-    return protocol in _FACTORIZED_PROTOCOLS or len(tuple(dims)) == 1
+    return PROTOCOLS[protocol].factorized or len(tuple(dims)) == 1
 
 
 @dataclass
@@ -178,62 +230,28 @@ class CampaignConfig:
         if self.base_seed < 0:
             raise ConfigError("base seed must be nonnegative")
         validate_method(self.protocol, self.estimator, self.dims)
-        n_settings = static_setting_count(self.protocol, self.dims)
-        if n_settings is not None and self.n_grid[0] < n_settings:
+        n_min = PROTOCOLS[self.protocol].min_n(self)
+        if self.n_grid[0] < n_min:
             raise ConfigError(
-                f"smallest sample size {self.n_grid[0]} is below the "
-                f"{n_settings} settings of protocol {self.protocol!r}")
-        if self.protocol == "sgqt":
-            spe = (self.sgqt or SgqtParams()).shots_per_eval
-            if self.n_grid[0] < 2 * spe:
-                raise ConfigError(
-                    f"smallest sample size {self.n_grid[0]} is below one "
-                    f"sgqt evaluation pair (2 x {spe} shots)")
+                f"smallest sample size {self.n_grid[0]} is below {n_min}, the "
+                f"fewest copies from which protocol {self.protocol!r} yields "
+                f"an estimate on dims {list(self.dims)}")
 
     @property
     def method(self) -> str:
-        if self.estimator is None:
-            return self.protocol
-        return f"{self.protocol}+{self.estimator}"
-
-
-def make_estimator(estimator_id: str):
-    """Estimator callable from its string identifier."""
-    name, _, arg = estimator_id.partition(":")
-    if name == "ppi":
-        return ppi
-    if name == "frls":
-        return frls
-    if name == "frml":
-        return frml
-    if name == "arml":
-        return arml
-    if name == "trml":
-        r = int(arg)
-        return lambda records: trml(records, r)
-    raise ConfigError(f"unknown estimator {estimator_id!r}")
+        return format_method(self.protocol, self.estimator)
 
 
 def resolve_method(config: CampaignConfig, n_total: int,
                    rng: np.random.Generator):
     """Build the per-run (protocol handler, estimator) pair."""
-    dims = config.dims
-    if config.protocol == "sgqt":
-        return sgqt_method(dims, n_total, rng, config.sgqt)
-    estimator = make_estimator(config.estimator)
-    if config.protocol == "mub":
-        return static_handler(mub_protocol(dims), n_total), estimator
-    if config.protocol == "fmub":
-        return static_handler(fmub_protocol(dims), n_total), estimator
-    if config.protocol == "pauli":
-        return static_handler(pauli_protocol(len(dims)), n_total), estimator
-    if config.protocol == "amub":
-        return amub_handler(dims, estimator, budget=n_total), estimator
-    if config.protocol == "fo":
-        return fo_handler(dims, estimator, rng, budget=n_total), estimator
-    if config.protocol == "fomub":
-        return fomub_handler(dims, estimator, rng, budget=n_total), estimator
-    raise ConfigError(f"unknown protocol {config.protocol!r}")
+    row = PROTOCOLS[config.protocol]
+    if not row.takes_estimator:
+        # a combined method (sgqt) reports its handler's own estimate
+        handler = row.build(config, n_total, None, rng)
+        return handler, handler.estimate
+    estimator = _estimator(config.estimator, math.prod(config.dims))
+    return row.build(config, n_total, estimator, rng), estimator
 
 
 def born_probabilities(rho: DensityMatrix, povm: Povm) -> np.ndarray:
@@ -307,7 +325,8 @@ def run_experiment(config: CampaignConfig, n_total: int,
                          t_estimator=t_estimator, run_index=run_index,
                          seed=seed_int, converged=report.converged,
                          iterations=report.iterations)
-    except Exception as exc:  # a failed run is data, not a crash
+    except (ValueError, ArithmeticError) as exc:
+        # a numerical failure is data; programming errors propagate
         return RunResult(n_total=n_total, fidelity=float("nan"),
                          bases_count=0, t_protocol=0.0, t_estimator=0.0,
                          run_index=run_index, seed=seed_int, failed=True,

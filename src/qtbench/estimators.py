@@ -252,7 +252,6 @@ def frml(records) -> EstimatorReport:
                 break
             eps /= 2.0
         else:
-            converged = residual <= 10 * FIXED_POINT_TOL
             break
         rho, p, ll = cand, p_cand, ll_cand
         eps = min(1.0, 2.0 * eps)

@@ -24,8 +24,8 @@ def mub_bases(d: int) -> list[np.ndarray]:
     """
     if d not in SUPPORTED_MUB_DIMS:
         raise ValueError(
-            f"no MUB construction for d={d}: supported prime-power dimensions "
-            f"are {SUPPORTED_MUB_DIMS}")
+            f"no MUB construction for d={d}: outside the MUB-supported "
+            f"prime-power dimensions {SUPPORTED_MUB_DIMS}")
     return [u.copy() for u in _mub_cached(d)]
 
 

@@ -9,11 +9,12 @@ via the estimator they were given.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mub import SUPPORTED_MUB_DIMS, mub_bases
+from .mub import mub_bases
 from .qcore import (
     POVM_SUM_TOL,
     PSD_EIG_FLOOR,
@@ -31,12 +32,12 @@ class IncompleteRecordsError(ValueError):
     """Measurement records do not determine a state (design rank below d^2)."""
 
 
-_PAULI = {
-    0: np.eye(2, dtype=complex),
-    1: np.array([[0, 1], [1, 0]], dtype=complex),
-    2: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    3: np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_PAULI = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
 
 
 @dataclass(eq=False)
@@ -68,27 +69,18 @@ class Povm:
 
 @dataclass(eq=False)
 class MeasurementSpec:
-    """One measurement setting: a POVM plus the number of state copies to use.
+    """One measurement setting: a POVM, the number of state copies to use
+    and the subsystem dimensions of the measured register.
 
-    Observable- and operator-type measurements are encoded through their
-    induced POVMs; the original operator is retained in ``observable`` and the
-    per-outcome eigenvalues in ``outcome_values``. ``basis``/``basis_factors``
-    carry the measured basis (and its per-subsystem factors, when the setting
-    is factorized) for bookkeeping and tests.
+    Basis, observable and operator measurements are all encoded through
+    their induced POVMs.
     """
 
     povm: Povm
     shots: int = 1
-    kind: str = "povm"  # povm | observable | operator
     dims: tuple[int, ...] | None = None
-    basis: np.ndarray | None = None
-    basis_factors: tuple[np.ndarray, ...] | None = None
-    observable: np.ndarray | None = None
-    outcome_values: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("povm", "observable", "operator"):
-            raise ValueError(f"unknown measurement kind {self.kind!r}")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
 
@@ -115,32 +107,27 @@ def mub_protocol(dims) -> list[MeasurementSpec]:
     """Measurements in all d+1 mutually unbiased bases of the full space."""
     dims = tuple(int(x) for x in dims)
     d = int(np.prod(dims))
-    specs = []
-    for u in mub_bases(d):
-        factors = (u,) if len(dims) == 1 else None
-        specs.append(MeasurementSpec(basis_povm(u), dims=dims, basis=u,
-                                     basis_factors=factors))
-    return specs
+    return [MeasurementSpec(basis_povm(u), dims=dims) for u in mub_bases(d)]
+
+
+def _tensor_products(local_ops) -> list[np.ndarray]:
+    """Every tensor product of one operator (or basis) per subsystem, the
+    first subsystem's choice varying slowest."""
+    out = []
+    for combo in itertools.product(*local_ops):
+        u = combo[0]
+        for f in combo[1:]:
+            u = np.kron(u, f)
+        out.append(u)
+    return out
 
 
 def fmub_protocol(dims) -> list[MeasurementSpec]:
     """Factorized MUB measurements: every subsystem measured independently in
     its own MUBs, prod_j (d_j + 1) settings in total."""
     dims = tuple(int(x) for x in dims)
-    for dj in dims:
-        if dj not in SUPPORTED_MUB_DIMS:
-            raise ValueError(
-                f"subsystem dimension {dj} outside the MUB-supported set "
-                f"{SUPPORTED_MUB_DIMS}")
-    local = [mub_bases(dj) for dj in dims]
-    specs = []
-    for combo in itertools.product(*local):
-        u = combo[0]
-        for f in combo[1:]:
-            u = np.kron(u, f)
-        specs.append(MeasurementSpec(basis_povm(u), dims=dims, basis=u,
-                                     basis_factors=tuple(combo)))
-    return specs
+    return [MeasurementSpec(basis_povm(u), dims=dims)
+            for u in _tensor_products([mub_bases(dj) for dj in dims])]
 
 
 def pauli_protocol(n: int) -> list[MeasurementSpec]:
@@ -148,42 +135,23 @@ def pauli_protocol(n: int) -> list[MeasurementSpec]:
     as its two-outcome eigenprojector POVM (eigenvalues +1 and -1)."""
     if n < 1:
         raise ValueError("need at least one qubit")
-    dims = (2,) * n
-    d = 2**n
-    eye = np.eye(d, dtype=complex)
-    specs = []
-    for word in itertools.product(range(4), repeat=n):
-        if all(w == 0 for w in word):
-            continue  # the identity word carries no information
-        op = np.eye(1, dtype=complex)
-        for w in word:
-            op = np.kron(op, _PAULI[w])
-        povm = Povm(np.stack([(eye + op) / 2, (eye - op) / 2]))
-        specs.append(MeasurementSpec(povm, kind="observable", dims=dims,
-                                     observable=op,
-                                     outcome_values=np.array([1.0, -1.0])))
-    return specs
+    eye = np.eye(2**n, dtype=complex)
+    # the first word is the identity, which carries no information
+    words = _tensor_products([_PAULI] * n)[1:]
+    return [MeasurementSpec(Povm(np.stack([(eye + w) / 2, (eye - w) / 2])),
+                            dims=(2,) * n) for w in words]
 
 
 class StaticHandler:
-    """Serves a fixed list of pre-allocated measurement settings."""
+    """Serves a static protocol's settings in order, with a run's sample
+    budget spread evenly over them."""
 
-    def __init__(self, specs: list[MeasurementSpec]):
-        self._specs = list(specs)
-        self._idx = 0
+    def __init__(self, specs: list[MeasurementSpec], n_total: int):
+        shots = allocate_shots(n_total, len(specs))
+        self._specs = iter([replace(s, shots=k) for s, k in zip(specs, shots)])
 
     def next(self, measured: int, records) -> MeasurementSpec | None:
-        if self._idx >= len(self._specs):
-            return None
-        spec = self._specs[self._idx]
-        self._idx += 1
-        return spec
-
-
-def static_handler(specs: list[MeasurementSpec], n_total: int) -> StaticHandler:
-    """Spread a run's sample budget evenly over a static protocol's settings."""
-    shots = allocate_shots(n_total, len(specs))
-    return StaticHandler([replace(s, shots=k) for s, k in zip(specs, shots)])
+        return next(self._specs, None)
 
 
 # --- adaptive protocols ------------------------------------------------------
@@ -195,12 +163,23 @@ def _adaptive_step_total(measured: int, budget: int | None) -> int:
     return step
 
 
+def fo_min_budget(dims) -> int:
+    """Smallest FO budget that reaches a prod_j (d_j + 1)-th setting, the
+    fewest random product bases that can be informationally complete: one
+    shot past the steps before it."""
+    measured = 0
+    for _ in range(math.prod(int(dj) + 1 for dj in dims) - 1):
+        measured += _adaptive_step_total(measured, None)
+    return measured + 1
+
+
 class _QueuedAdaptiveHandler:
-    """Common machinery: refill a queue of specs once per adaptive step."""
+    """Common machinery: once per adaptive step, spread the step's shots
+    evenly over the bases a subclass chooses (over the first ones only when
+    the step has fewer shots than bases) and queue the settings."""
 
     def __init__(self, dims, estimator, budget):
         self.dims = tuple(int(x) for x in dims)
-        self.d = int(np.prod(self.dims))
         self.estimator = estimator
         self.budget = budget
         self._queue: list[MeasurementSpec] = []
@@ -210,7 +189,11 @@ class _QueuedAdaptiveHandler:
             step = _adaptive_step_total(measured, self.budget)
             if step < 1:
                 return None
-            self._queue = self._build_step(step, records)
+            bases = self._bases(records)
+            shots = allocate_shots(step, min(len(bases), step))
+            self._queue = [MeasurementSpec(basis_povm(u), shots=k,
+                                           dims=self.dims)
+                           for u, k in zip(bases, shots)]
         return self._queue.pop(0)
 
     def _estimate(self, records) -> np.ndarray | None:
@@ -224,7 +207,7 @@ class _QueuedAdaptiveHandler:
         except IncompleteRecordsError:
             return None
 
-    def _build_step(self, step: int, records) -> list[MeasurementSpec]:
+    def _bases(self, records) -> list[np.ndarray]:
         raise NotImplementedError
 
 
@@ -234,27 +217,14 @@ class AmubHandler(_QueuedAdaptiveHandler):
 
     def __init__(self, dims, estimator, budget=None):
         super().__init__(dims, estimator, budget)
-        if self.d not in SUPPORTED_MUB_DIMS:
-            raise ValueError(
-                f"total dimension {self.d} outside the MUB-supported set "
-                f"{SUPPORTED_MUB_DIMS}")
-        self._canonical = mub_bases(self.d)
+        self._canonical = mub_bases(math.prod(self.dims))
 
-    def _build_step(self, step, records):
+    def _bases(self, records):
         est = self._estimate(records)
         if est is None:
-            rotated = self._canonical
-        else:
-            _, v = eig_hermitian(est)
-            rotated = [v @ b for b in self._canonical]
-        n_bases = min(len(rotated), step)
-        shots = allocate_shots(step, n_bases)
-        return [MeasurementSpec(basis_povm(u), shots=k, dims=self.dims, basis=u)
-                for u, k in zip(rotated[:n_bases], shots)]
-
-
-def amub_handler(dims, estimator, budget: int | None = None) -> AmubHandler:
-    return AmubHandler(dims, estimator, budget)
+            return self._canonical
+        _, v = eig_hermitian(est)
+        return [v @ b for b in self._canonical]
 
 
 def _env_vector(tensor: np.ndarray, phis: list[np.ndarray], j: int) -> np.ndarray:
@@ -316,9 +286,7 @@ def orthogonal_product_vector(rho_est: DensityMatrix, k: int,
         raise ValueError(f"k must lie in 1..{k_max} for dims {dims}")
     _, v = eig_hermitian(rho_est.mat)
     factors, _ = _product_vector_factors(v[:, :k], dims, rng)
-    out = np.eye(1, dtype=complex).ravel()
-    for p in factors:
-        out = np.kron(out, p)
+    (out,) = _tensor_products([[p] for p in factors])
     return PureState(dims, out)
 
 
@@ -349,29 +317,21 @@ class FoHandler(_QueuedAdaptiveHandler):
                              "two subsystems")
         self.rng = rng
         self.k_max = sum(self.dims) - len(self.dims)
+        self._local_bases = [[np.eye(dj, dtype=complex)] for dj in self.dims]
 
-    def _orthogonal_factors(self, records) -> list[np.ndarray]:
+    def _bases(self, records):
         est = self._estimate(records)
         if est is None:
             # nothing measured yet: any random product direction will do
-            return [haar_vector(dj, self.rng).vec for dj in self.dims]
-        k = int(self.rng.integers(1, self.k_max + 1))
-        _, v = eig_hermitian(est)
-        factors, _ = _product_vector_factors(v[:, :k], self.dims, self.rng)
-        return factors
-
-    def _build_step(self, step, records):
-        factors = self._orthogonal_factors(records)
-        locals_ = tuple(complete_local_basis(p, self.rng) for p in factors)
-        u = np.eye(1, dtype=complex)
-        for loc in locals_:
-            u = np.kron(u, loc)
-        return [MeasurementSpec(basis_povm(u), shots=step, dims=self.dims,
-                                basis=u, basis_factors=locals_)]
-
-
-def fo_handler(dims, estimator, rng, budget: int | None = None) -> FoHandler:
-    return FoHandler(dims, estimator, rng, budget)
+            factors = [haar_vector(dj, self.rng).vec for dj in self.dims]
+        else:
+            k = int(self.rng.integers(1, self.k_max + 1))
+            _, v = eig_hermitian(est)
+            factors, _ = _product_vector_factors(v[:, :k], self.dims, self.rng)
+        # rotate each subsystem's bases so that the first one holds the factor
+        rotations = [complete_local_basis(p, self.rng) for p in factors]
+        return _tensor_products([[r @ b for b in bases] for r, bases in
+                                 zip(rotations, self._local_bases)])
 
 
 class FomubHandler(FoHandler):
@@ -380,30 +340,4 @@ class FomubHandler(FoHandler):
 
     def __init__(self, dims, estimator, rng, budget=None):
         super().__init__(dims, estimator, rng, budget)
-        for dj in self.dims:
-            if dj not in SUPPORTED_MUB_DIMS:
-                raise ValueError(
-                    f"subsystem dimension {dj} outside the MUB-supported set "
-                    f"{SUPPORTED_MUB_DIMS}")
-        self._local_mubs = [mub_bases(dj) for dj in self.dims]
-
-    def _build_step(self, step, records):
-        factors = self._orthogonal_factors(records)
-        rotations = [complete_local_basis(p, self.rng) for p in factors]
-        rotated = [[r @ b for b in bases]
-                   for r, bases in zip(rotations, self._local_mubs)]
-        combos = list(itertools.product(*rotated))
-        n_bases = min(len(combos), step)
-        shots = allocate_shots(step, n_bases)
-        specs = []
-        for combo, k in zip(combos[:n_bases], shots):
-            u = combo[0]
-            for f in combo[1:]:
-                u = np.kron(u, f)
-            specs.append(MeasurementSpec(basis_povm(u), shots=k, dims=self.dims,
-                                         basis=u, basis_factors=tuple(combo)))
-        return specs
-
-
-def fomub_handler(dims, estimator, rng, budget: int | None = None) -> FomubHandler:
-    return FomubHandler(dims, estimator, rng, budget)
+        self._local_bases = [mub_bases(dj) for dj in self.dims]

@@ -49,7 +49,10 @@ def _fix_phase(psi: np.ndarray) -> np.ndarray:
 
 class SgqtHandler:
     """State machine issuing the two perturbed-projector measurements per
-    iteration and updating the running state-vector estimate in between."""
+    iteration and updating the running state-vector estimate in between.
+
+    ``estimate`` is the method's estimator. Leftover shots of the budget that
+    do not fill an evaluation pair are discarded."""
 
     def __init__(self, dims, budget: int, rng: np.random.Generator,
                  params: SgqtParams | None = None):
@@ -106,7 +109,7 @@ class SgqtHandler:
         proj = np.outer(psi, psi.conj())
         povm = Povm(np.stack([proj, np.eye(self.d) - proj]))
         return MeasurementSpec(povm, shots=self.params.shots_per_eval,
-                               kind="operator", dims=self.dims)
+                               dims=self.dims)
 
     def _consume(self, records):
         for rec in records[self._consumed:]:
@@ -126,12 +129,3 @@ class SgqtHandler:
         self.psi = self._to_state(theta + alpha * grad)
         self.k += 1
         self._stage = 0
-
-
-def sgqt_method(dims, budget: int, rng: np.random.Generator,
-                params: SgqtParams | None = None):
-    """Build the (protocol handler, estimator) pair for a run of the given
-    sample budget. Leftover shots that do not fill an evaluation pair are
-    discarded."""
-    handler = SgqtHandler(dims, budget, rng, params)
-    return handler, handler.estimate

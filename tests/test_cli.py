@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+import qtbench.engine as engine
 from qtbench.cli import main
 
 
@@ -68,14 +69,30 @@ class TestAnalyzeCommand:
         out = tmp_path / "x"
         assert run_analyze(out, method="bogus+ppi") == 2
         assert not out.exists() or not list(out.iterdir())
+        # eight FO product bases (800 copies on 2,2) cannot be
+        # informationally complete, so every run would fail
+        assert run_analyze(out, method="fo+ppi", grid="300,400") == 2
+        assert "below 801" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
 
     def test_unknown_test_exits_2(self, tmp_path):
         assert run_analyze(tmp_path, test="nope") == 2
 
-    def test_all_failed_runs_exit_1(self, tmp_path):
-        # four random product bases cannot be informationally complete, so
-        # the final pseudo-inversion fails in every run
-        assert run_analyze(tmp_path, method="fo+ppi", grid="300,400") == 1
+    def test_all_failed_runs_exit_1(self, tmp_path, monkeypatch, capsys):
+        def fake_run(config, n_total, run_index):
+            failed = run_index % 2 == 0
+            return engine.RunResult(
+                n_total=n_total, fidelity=float("nan") if failed else 0.9,
+                bases_count=9, t_protocol=0.0, t_estimator=0.0,
+                run_index=run_index, seed=0, failed=failed,
+                error="ValueError: boom" if failed else None,
+                converged=None if failed else run_index != 1)
+
+        monkeypatch.setattr(engine, "run_experiment", fake_run)
+        assert run_analyze(tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "N=200: 4 runs, 2 failed, 1 unconverged," in err
+        assert "campaign failed" in err
 
     def test_config_file_with_flag_precedence(self, tmp_path):
         manifest = tmp_path / "campaign.cfg"

@@ -1,0 +1,26 @@
+"""Smoke test: the narrative demo scripts run to completion.
+
+``two_qubit_shootout.py`` is left out: its reduced campaigns take about half
+a minute, more than the other four together.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("name", ["adaptive_walkthrough", "lower_bounds",
+                                  "outlier_analysis", "sgqt_trajectory"])
+def test_demo_runs(name):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

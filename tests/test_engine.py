@@ -9,6 +9,7 @@ from qtbench.engine import (
     CampaignConfig,
     CampaignError,
     ConfigError,
+    PROTOCOLS,
     RunResult,
     born_probabilities,
     default_grid,
@@ -127,6 +128,20 @@ class TestMethodValidation:
         with pytest.raises(ConfigError, match="below"):
             make_config(protocol="pauli", estimator="frml", n_grid=(10, 100))
 
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_registry_minimum_sample_size(self, protocol):
+        # below a protocol's minimum every run fails; at it none must
+        row = PROTOCOLS[protocol]
+        kw = dict(protocol=protocol,
+                  estimator="ppi" if row.takes_estimator else None,
+                  dims=(2, 2) if row.multipartite else (2,))
+        n_min = row.min_n(make_config(n_grid=(10**6,), **kw))
+        with pytest.raises(ConfigError, match="below"):
+            make_config(n_grid=(n_min - 1,), **kw)
+        config = make_config(n_grid=(n_min,), **kw)
+        res = run_experiment(config, n_min, 0)
+        assert not res.failed, res.error
+
 
 class TestRunExperiment:
     def test_seeded_rerun_is_identical(self):
@@ -148,6 +163,22 @@ class TestRunExperiment:
         b = run_experiment(config, 1000, 1)
         assert a.seed != b.seed
         assert a.fidelity != b.fidelity
+
+    def test_only_numerical_failures_become_failed_runs(self, monkeypatch):
+        def raising(exc):
+            def generate_state(*args):
+                raise exc
+            return generate_state
+
+        config = make_config()
+        monkeypatch.setattr(engine, "generate_state",
+                            raising(TypeError("a programming error")))
+        with pytest.raises(TypeError, match="programming error"):
+            run_experiment(config, 500, 0)
+        monkeypatch.setattr(engine, "generate_state",
+                            raising(ValueError("not a state")))
+        res = run_experiment(config, 500, 0)
+        assert res.failed and res.error == "ValueError: not a state"
 
     def test_large_sample_full_rank_ml(self):
         # frozen Monte Carlo oracle values: over seeded runs at N = 10^6 the

@@ -35,13 +35,8 @@ def sampled_records(rho, specs, shots, rng):
             for s in specs]
 
 
-def root_factor_residual(est, records, r):
-    """max|R c - mu c| of the likelihood equation at the rank-r root factor
-    c = V sqrt(lambda) of est (top r eigenpairs). Eigenvalues below 1e-14
-    are roundoff of zero eigenvalues and count as zero: their square roots
-    would add columns of norm ~1e-8 that no estimate can pin down."""
-    w, v = np.linalg.eigh(est.mat)
-    c = v[:, -r:] * np.sqrt(np.where(w[-r:] < 1e-14, 0.0, w[-r:]))
+def likelihood_operator(est, records):
+    """R = sum_k (n_k / N) P_k / p_k over outcomes with nonzero counts."""
     n = sum(rec.counts.sum() for rec in records)
     r_op = np.zeros_like(est.mat)
     for rec in records:
@@ -49,7 +44,17 @@ def root_factor_residual(est, records, r):
         for count, prob, elem in zip(rec.counts, probs, rec.spec.povm.elements):
             if count > 0:
                 r_op += (count / n / prob) * elem
-    rc = r_op @ c
+    return r_op
+
+
+def root_factor_residual(est, records, r):
+    """max|R c - mu c| of the likelihood equation at the rank-r root factor
+    c = V sqrt(lambda) of est (top r eigenpairs). Eigenvalues below 1e-14
+    are roundoff of zero eigenvalues and count as zero: their square roots
+    would add columns of norm ~1e-8 that no estimate can pin down."""
+    w, v = np.linalg.eigh(est.mat)
+    c = v[:, -r:] * np.sqrt(np.where(w[-r:] < 1e-14, 0.0, w[-r:]))
+    rc = likelihood_operator(est, records) @ c
     mu = np.real(np.trace(c.conj().T @ rc))
     return float(np.max(np.abs(rc - mu * c)))
 
@@ -291,6 +296,12 @@ class TestTrml:
                         converged += 1
                         assert (root_factor_residual(rep.estimate, recs, r)
                                 <= FIXED_POINT_TOL)
+                # frml's condition is the fixed point R rho = rho itself
+                rep = frml(recs)
+                if rep.converged:
+                    est = rep.estimate.mat
+                    r_op = likelihood_operator(rep.estimate, recs)
+                    assert np.max(np.abs(r_op @ est - est)) <= FIXED_POINT_TOL
         assert converged >= 20
 
     def test_rank_out_of_range(self):

@@ -1,16 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qtbench.mub import SUPPORTED_MUB_DIMS, mub_bases
 from qtbench.protocols import (
+    AmubHandler,
+    FoHandler,
+    FomubHandler,
     MeasurementSpec,
     Povm,
     allocate_shots,
-    amub_handler,
     complete_local_basis,
     fmub_protocol,
-    fo_handler,
-    fomub_handler,
     mub_protocol,
     orthogonal_product_vector,
     pauli_protocol,
@@ -45,16 +47,27 @@ def second_realignment_singular_value(u, d1, d2):
 
 
 def assert_factorized(spec, dims):
-    u = spec.basis
-    assert spec.basis_factors is not None
-    rebuilt = np.eye(1, dtype=complex)
-    for f in spec.basis_factors:
-        rebuilt = np.kron(rebuilt, f)
-    assert np.max(np.abs(rebuilt - u)) <= 1e-8
-    for cut in range(1, len(dims)):
-        d1 = int(np.prod(dims[:cut]))
-        d2 = int(np.prod(dims[cut:]))
-        assert second_realignment_singular_value(u, d1, d2) <= 1e-8
+    """Every element is the projector onto a product vector: rank one, and
+    rank one again after realignment at every subsystem cut."""
+    for p in spec.povm.elements:
+        assert np.linalg.svd(p, compute_uv=False)[1] <= 1e-8
+        for cut in range(1, len(dims)):
+            d1 = int(np.prod(dims[:cut]))
+            d2 = int(np.prod(dims[cut:]))
+            assert second_realignment_singular_value(p, d1, d2) <= 1e-8
+
+
+def projectors(u):
+    """Rank-1 projectors onto the columns of u."""
+    return np.stack([np.outer(u[:, k], u[:, k].conj())
+                     for k in range(u.shape[1])])
+
+
+def assert_orthonormal_basis(spec):
+    """The elements are the projectors of one orthonormal basis."""
+    elems = spec.povm.elements
+    gram = np.real(np.einsum("aij,bji->ab", elems, elems))
+    np.testing.assert_allclose(gram, np.eye(len(elems)), atol=1e-8)
 
 
 class TestPovm:
@@ -128,18 +141,22 @@ class TestStaticProtocols:
         specs = pauli_protocol(n)
         assert len(specs) == expected
         for spec in specs:
-            assert spec.kind == "observable"
             assert spec.povm.n_outcomes == 2
 
     def test_pauli_povm_completeness(self):
         d = 4
-        for spec in pauli_protocol(2):
+        paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),
+                  np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+        words = [w for w in itertools.product(range(4), repeat=2) if any(w)]
+        specs = pauli_protocol(2)
+        assert len(specs) == len(words)
+        for spec, (a, b) in zip(specs, words):
             total = spec.povm.elements.sum(axis=0)
             np.testing.assert_allclose(total, np.eye(d), atol=1e-12)
             # eigenprojectors reproduce the word: P+ - P- = W
             np.testing.assert_allclose(
                 spec.povm.elements[0] - spec.povm.elements[1],
-                spec.observable, atol=1e-12)
+                np.kron(paulis[a], paulis[b]), atol=1e-12)
 
     def test_every_issued_povm_is_complete(self):
         for spec in fmub_protocol((2, 2)) + mub_protocol((2, 2)):
@@ -168,30 +185,32 @@ class TestAllocateShots:
 
 class TestAmubHandler:
     def test_first_step_is_canonical_mub(self):
-        handler = amub_handler((2, 2), _StubEstimator(None))
+        handler = AmubHandler((2, 2), _StubEstimator(None))
         canonical = mub_bases(4)
         specs = [handler.next(0, []) for _ in range(5)]
         for spec, expected in zip(specs, canonical):
-            np.testing.assert_allclose(spec.basis, expected, atol=1e-12)
+            np.testing.assert_allclose(spec.povm.elements,
+                                       projectors(expected), atol=1e-12)
 
     def test_exact_estimate_diagonalized(self):
         rho = DensityMatrix((2, 2), np.diag([0.7, 0.2, 0.08, 0.02]).astype(complex))
-        handler = amub_handler((2, 2), _StubEstimator(rho))
+        handler = AmubHandler((2, 2), _StubEstimator(rho))
         spec = handler.next(100, [object()])
-        u = spec.basis
-        m = u.conj().T @ rho.mat @ u
-        off = m - np.diag(np.diag(m))
-        assert np.max(np.abs(off)) <= 1e-8
+        assert_orthonormal_basis(spec)
+        # every basis projector commutes with the estimate: the basis
+        # diagonalizes it
+        for p in spec.povm.elements:
+            assert np.max(np.abs(p @ rho.mat - rho.mat @ p)) <= 1e-8
 
     def test_step_budget_schedule(self):
-        handler = amub_handler((2, 2), _StubEstimator(
+        handler = AmubHandler((2, 2), _StubEstimator(
             DensityMatrix((2, 2), np.eye(4) / 4)))
         specs = [handler.next(6000, [object()]) for _ in range(5)]
         assert sum(s.shots for s in specs) == 200
         assert [s.shots for s in specs] == [40] * 5
 
     def test_budget_exhaustion_stops(self):
-        handler = amub_handler((2, 2), _StubEstimator(None), budget=500)
+        handler = AmubHandler((2, 2), _StubEstimator(None), budget=500)
         assert handler.next(500, []) is None
 
 
@@ -245,18 +264,18 @@ class TestOrthogonalProductVector:
 class TestFoHandler:
     def test_k_max_values(self):
         rng = np.random.default_rng(45)
-        assert fo_handler((2, 2), _StubEstimator(None), rng).k_max == 2
-        assert fo_handler((2, 2, 2), _StubEstimator(None), rng).k_max == 3
+        assert FoHandler((2, 2), _StubEstimator(None), rng).k_max == 2
+        assert FoHandler((2, 2, 2), _StubEstimator(None), rng).k_max == 3
 
     def test_rejects_single_subsystem(self):
         rng = np.random.default_rng(46)
         with pytest.raises(ValueError, match="two subsystems"):
-            fo_handler((4,), _StubEstimator(None), rng)
+            FoHandler((4,), _StubEstimator(None), rng)
 
     def test_issues_factorized_basis_with_step_schedule(self):
         rng = np.random.default_rng(47)
         rho = DensityMatrix((2, 2), np.diag([0.9, 0.06, 0.03, 0.01]).astype(complex))
-        handler = fo_handler((2, 2), _StubEstimator(rho), rng)
+        handler = FoHandler((2, 2), _StubEstimator(rho), rng)
         spec = handler.next(3300, [object()])
         assert spec.shots == 110  # floor(3300 / 30)
         assert_factorized(spec, (2, 2))
@@ -265,7 +284,7 @@ class TestFoHandler:
 
     def test_first_step_without_data_is_random_product_basis(self):
         rng = np.random.default_rng(48)
-        handler = fo_handler((2, 2), _StubEstimator(None), rng)
+        handler = FoHandler((2, 2), _StubEstimator(None), rng)
         spec = handler.next(0, [])
         assert spec.shots == 100
         assert_factorized(spec, (2, 2))
@@ -275,7 +294,7 @@ class TestFomubHandler:
     def test_step_issues_full_rotated_fmub(self):
         rng = np.random.default_rng(49)
         rho = DensityMatrix((2, 2), np.diag([0.9, 0.06, 0.03, 0.01]).astype(complex))
-        handler = fomub_handler((2, 2), _StubEstimator(rho), rng)
+        handler = FomubHandler((2, 2), _StubEstimator(rho), rng)
         specs = [handler.next(0, [object()]) for _ in range(9)]
         assert all(s is not None for s in specs)
         assert sum(s.shots for s in specs) == 100
@@ -285,25 +304,30 @@ class TestFomubHandler:
     def test_designated_basis_contains_orthogonal_vector(self):
         rng = np.random.default_rng(50)
         rho = DensityMatrix((2, 2), np.diag([0.9, 0.06, 0.03, 0.01]).astype(complex))
-        handler = fomub_handler((2, 2), _StubEstimator(rho), rng)
+        handler = FomubHandler((2, 2), _StubEstimator(rho), rng)
         first = handler.next(0, [object()])
-        # first issued basis carries the product vector as its first column;
-        # that vector must kill the principal component of the estimate
-        phi = first.basis[:, 0]
+        # the first element of the first issued basis projects onto the
+        # product vector, which must kill the principal component of the
+        # estimate
+        p0 = first.povm.elements[0]
+        np.testing.assert_allclose(p0 @ p0, p0, atol=1e-10)
+        assert np.real(np.trace(p0)) == pytest.approx(1.0, abs=1e-10)
         _, v = eig_hermitian(rho.mat)
-        k_values = np.abs(v.conj().T @ phi) ** 2
-        assert k_values[0] <= 1e-6
-        overlaps = np.abs(first.basis.conj().T @ phi) ** 2
-        assert overlaps[0] == pytest.approx(1.0, abs=1e-10)
+        assert np.real(v[:, 0].conj() @ p0 @ v[:, 0]) <= 1e-6
 
     def test_rotated_bases_stay_unbiased(self):
         rng = np.random.default_rng(51)
         rho = DensityMatrix((2, 2), np.eye(4) / 4)
-        handler = fomub_handler((2, 2), _StubEstimator(rho), rng)
+        handler = FomubHandler((2, 2), _StubEstimator(rho), rng)
         specs = [handler.next(0, [object()]) for _ in range(9)]
         for spec in specs:
-            np.testing.assert_allclose(
-                spec.basis.conj().T @ spec.basis, np.eye(4), atol=1e-8)
+            assert_orthonormal_basis(spec)
+        # settings 0, 4 and 8 use a different local MUB on both qubits, so
+        # they are unbiased: |<a|b>|^2 = 1/4 across them
+        for i, j in ((0, 4), (0, 8), (4, 8)):
+            overlaps = np.real(np.einsum("aij,bji->ab", specs[i].povm.elements,
+                                         specs[j].povm.elements))
+            np.testing.assert_allclose(overlaps, 0.25, atol=1e-8)
 
 
 class TestCompleteLocalBasis:

@@ -4,14 +4,14 @@ import pytest
 from qtbench.engine import born_probabilities, sample_counts
 from qtbench.estimators import MeasurementRecord
 from qtbench.qcore import fidelity
-from qtbench.sgqt import SgqtParams, sgqt_method
+from qtbench.sgqt import SgqtHandler, SgqtParams
 from qtbench.states import gen_rps
 
 
 def drive(rho, budget, rng, params=None, snapshot_at=()):
     """Run the measurement loop the way the engine does; optionally record the
     running estimate's fidelity at given iteration numbers."""
-    handler, estimator = sgqt_method(rho.dims, budget, rng, params)
+    handler = SgqtHandler(rho.dims, budget, rng, params)
     records, measured = [], 0
     snapshots = {}
     while measured < budget:
@@ -24,7 +24,7 @@ def drive(rho, budget, rng, params=None, snapshot_at=()):
         probs = born_probabilities(rho, spec.povm)
         records.append(MeasurementRecord(spec, sample_counts(probs, shots, rng)))
         measured += shots
-    return handler, estimator(records), measured, snapshots
+    return handler, handler.estimate(records), measured, snapshots
 
 
 class TestParams:
@@ -46,12 +46,12 @@ class TestSgqt:
     def test_budget_below_one_pair_rejected(self):
         rng = np.random.default_rng(90)
         with pytest.raises(ValueError, match="evaluation pair"):
-            sgqt_method((2,), 150, rng)
+            SgqtHandler((2,), 150, rng)
 
     def test_zero_gain_keeps_initial_guess(self):
         rng = np.random.default_rng(91)
         rho = gen_rps((2,), rng)
-        handler, _ = sgqt_method((2,), 10_000, rng, SgqtParams(a=0.0))
+        handler = SgqtHandler((2,), 10_000, rng, SgqtParams(a=0.0))
         initial = handler.psi.copy()
         records, measured = [], 0
         while measured < 10_000:
@@ -66,14 +66,17 @@ class TestSgqt:
     def test_povms_are_two_outcome_and_complete(self):
         rng = np.random.default_rng(92)
         rho = gen_rps((2, 2), rng)
-        handler, _ = sgqt_method((2, 2), 1000, rng)
+        handler = SgqtHandler((2, 2), 1000, rng)
         records, measured = [], 0
         while measured < 1000:
             spec = handler.next(measured, records)
             if spec is None:
                 break
-            assert spec.kind == "operator"
             assert spec.povm.n_outcomes == 2
+            # a projector onto one candidate state and its complement
+            proj = spec.povm.elements[0]
+            np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
+            assert np.real(np.trace(proj)) == pytest.approx(1.0, abs=1e-10)
             total = spec.povm.elements.sum(axis=0)
             np.testing.assert_allclose(total, np.eye(4), atol=1e-10)
             probs = born_probabilities(rho, spec.povm)
@@ -86,7 +89,7 @@ class TestSgqt:
         # estimate only on the scale of the perturbation size beta_1
         rng = np.random.default_rng(93)
         params = SgqtParams(shots_per_eval=1_000_000)
-        handler, _ = sgqt_method((2,), 2 * params.shots_per_eval, rng, params)
+        handler = SgqtHandler((2,), 2 * params.shots_per_eval, rng, params)
         rho = handler.estimate().estimate  # truth := initial guess
         records, measured = [], 0
         while measured < 2 * params.shots_per_eval:
