@@ -4,7 +4,7 @@ Runs reduced-statistics campaigns (100 runs per sample size instead of 1000)
 for a handful of methods, then prints the benchmark table: the sample size
 N_B each method needs to reach fidelity 0.999 with 95% probability, the
 number of measurement settings, efficiency against the theoretical optimum,
-and the outlier ratio. Takes a minute or two.
+and the outlier ratio. Takes about fifteen seconds.
 """
 
 from qtbench import CampaignConfig, TestKind, compile_report, run_campaign

@@ -183,8 +183,9 @@ def method_is_factorized(protocol: str, dims: tuple) -> bool:
 class RunResult:
     """Per-run outcome of one numerical tomography experiment.
 
-    ``converged`` and ``iterations`` come from the final estimator report;
-    they are None for failed runs and for raw files written without them.
+    ``converged``, ``iterations`` and ``rank_used`` come from the final
+    estimator report; they are None for failed runs and for raw files
+    written without them.
     """
 
     n_total: int
@@ -198,6 +199,7 @@ class RunResult:
     error: str | None = None
     converged: bool | None = None
     iterations: int | None = None
+    rank_used: int | None = None
 
 
 @dataclass
@@ -324,7 +326,8 @@ def run_experiment(config: CampaignConfig, n_total: int,
                          bases_count=len(records), t_protocol=t_protocol,
                          t_estimator=t_estimator, run_index=run_index,
                          seed=seed_int, converged=report.converged,
-                         iterations=report.iterations)
+                         iterations=report.iterations,
+                         rank_used=report.rank_used)
     except (ValueError, ArithmeticError) as exc:
         # a numerical failure is data; programming errors propagate
         return RunResult(n_total=n_total, fidelity=float("nan"),
@@ -398,6 +401,7 @@ def raw_line(config: CampaignConfig, result: RunResult) -> str:
         "failed": result.failed,
         "converged": result.converged,
         "iterations": result.iterations,
+        "rank_used": result.rank_used,
         "error": result.error,
     })
 
@@ -418,5 +422,6 @@ def parse_raw_line(line: str) -> tuple[dict, RunResult]:
         failed=bool(row["failed"]),
         error=row.get("error"),
         converged=row.get("converged"),
-        iterations=row.get("iterations"))
+        iterations=row.get("iterations"),
+        rank_used=row.get("rank_used"))
     return context, result

@@ -3,9 +3,10 @@
 All estimators consume a list of MeasurementRecord and return an
 EstimatorReport whose estimate is a valid density matrix. The reconstruction
 strategies: pseudo-inversion with spectrum projection (ppi), projected
-gradient least squares (frls), fixed-point maximum likelihood over the full
-state space (frml), likelihood maximization over rank-r root factors (trml),
-and rank selection by chi-squared adequacy (arml).
+gradient least squares (frls), likelihood maximization over rank-r root
+factors (trml), maximum likelihood over the full state space (frml: trml at
+rank d, anchored at the pseudo-inversion point), and rank selection by
+chi-squared adequacy (arml).
 """
 
 from dataclasses import dataclass
@@ -211,61 +212,25 @@ def _likelihood_operator(povm, freq, p):
 
 
 def frml(records) -> EstimatorReport:
-    """Full-rank maximum likelihood via the diluted fixed-point iteration
-    rho <- (1 - eps) rho + eps R rho R / Tr(R rho R), with eps halved whenever
-    a step would lower the likelihood.
+    """Full-rank maximum likelihood: the rank-d fit of trml, anchored at the
+    pseudo-inversion point.
 
-    The iteration starts from the maximally mixed state (a rank-deficient
-    start could never grow its support); the pseudo-inversion point is kept
-    as a candidate and returned when the iterates plateau below it, which
-    happens near boundary optima where the fixed-point map converges slowly.
+    The pseudo-inversion estimate is returned when it is at least as likely
+    as the fit (with log_likelihood, so comparisons against ppi cannot lose
+    to roundoff); on one-qubit MUB data it is often the exact ML point. It
+    is then judged converged by the fixed-point condition R rho = rho.
     """
     povm, counts, _ = _stack(records)
     d = povm.shape[1]
-    _check_complete(_real_design(povm), d)
-    freq = counts / counts.sum()
-    anchor = ppi(records).estimate.mat
-    rho = np.eye(d, dtype=complex) / d
-
-    def loglik(p):
-        mask = freq > 0
-        return float(np.sum(freq[mask] * np.log(np.clip(p[mask], 1e-300, None))))
-
-    p = _probs(povm, rho)
-    ll = loglik(p)
-    eps = 1.0
-    converged = False
-    it = 0
-    for it in range(1, MAX_ITERATIONS + 1):
-        r_op = _likelihood_operator(povm, freq, p)
-        residual = float(np.max(np.abs(r_op @ rho - rho)))
-        if residual <= FIXED_POINT_TOL:
-            converged = True
-            break
-        rrr = hermitize(r_op @ rho @ r_op)
-        rrr /= np.real(np.trace(rrr))
-        while eps > 1e-8:
-            cand = (1.0 - eps) * rho + eps * rrr
-            p_cand = _probs(povm, cand)
-            ll_cand = loglik(p_cand)
-            if ll_cand >= ll:
-                break
-            eps /= 2.0
-        else:
-            break
-        rho, p, ll = cand, p_cand, ll_cand
-        eps = min(1.0, 2.0 * eps)
-    # return the anchor bit-identically unless the iterate clearly beats it,
-    # so likelihood comparisons against the pseudo-inverse cannot lose to
-    # summation-order roundoff
-    if loglik(_probs(povm, anchor)) >= ll - 1e-12 * max(1.0, abs(ll)):
-        r_op = _likelihood_operator(povm, freq, _probs(povm, anchor))
-        converged = float(np.max(np.abs(r_op @ anchor - anchor))) <= FIXED_POINT_TOL
-        estimate = DensityMatrix(_dims_of(records), anchor)
-    else:
-        estimate = DensityMatrix(_dims_of(records), hermitize(rho))
-    return EstimatorReport(estimate=estimate, rank_used=d, iterations=it,
-                           converged=converged)
+    fit = trml(records, d)
+    anchor = ppi(records).estimate
+    if log_likelihood(anchor, records) < log_likelihood(fit.estimate, records):
+        return fit
+    rho = anchor.mat
+    r_op = _likelihood_operator(povm, counts / counts.sum(), _probs(povm, rho))
+    converged = float(np.max(np.abs(r_op @ rho - rho))) <= FIXED_POINT_TOL
+    return EstimatorReport(estimate=anchor, rank_used=d,
+                           iterations=fit.iterations, converged=converged)
 
 
 def _real(z: np.ndarray) -> np.ndarray:
@@ -335,6 +300,10 @@ def trml(records, r: int) -> EstimatorReport:
     tenfold. The Newton finish is needed because near the optimum a gradient
     step changes the log-likelihood by about residual^2, below what double
     precision resolves, so likelihood tests stop telling good steps from bad.
+    At r = d the stop is judged on max|(R c - mu c) c^dag| = max|R rho - rho|
+    instead, the fixed-point condition of full-rank maximum likelihood: the
+    root columns of a boundary optimum vanish only linearly, but this
+    residual is quadratic in them.
     The fit converges when the residual is at most FIXED_POINT_TOL; it stops
     unconverged at MAX_ITERATIONS or when no gradient step improves the
     likelihood.
@@ -362,6 +331,12 @@ def trml(records, r: int) -> EstimatorReport:
         mu = float(np.real(np.trace(c_mat.conj().T @ rc)))
         return r_op, rc, float(np.max(np.abs(rc - mu * c_mat)))
 
+    def stop_residual(c_mat, rc, residual):
+        if r < d:
+            return residual
+        mu = float(np.real(np.trace(c_mat.conj().T @ rc)))
+        return float(np.max(np.abs((rc - mu * c_mat) @ c_mat.conj().T)))
+
     ll, p = loglik_of(c)
     r_op, rc, residual = residual_of(c, p)
     newton_below = NEWTON_BELOW
@@ -369,13 +344,13 @@ def trml(records, r: int) -> EstimatorReport:
     converged = False
     it = 0
     for it in range(1, MAX_ITERATIONS + 1):
-        if residual <= FIXED_POINT_TOL:
+        if stop_residual(c, rc, residual) <= FIXED_POINT_TOL:
             # the max-entry residual depends on the gauge of c: judge it on
             # the estimate's own root factor V sqrt(lambda)
             u, sv, _ = np.linalg.svd(c, full_matrices=False)
             c = u * sv
             r_op, rc, residual = residual_of(c, p)
-            if residual <= FIXED_POINT_TOL:
+            if stop_residual(c, rc, residual) <= FIXED_POINT_TOL:
                 converged = True
                 break
         if residual <= newton_below:

@@ -1,8 +1,4 @@
-"""Smoke test: the narrative demo scripts run to completion.
-
-``two_qubit_shootout.py`` is left out: its reduced campaigns take about half
-a minute, more than the other four together.
-"""
+"""Smoke test: the narrative demo scripts run to completion."""
 
 import os
 import subprocess
@@ -15,7 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", ["adaptive_walkthrough", "lower_bounds",
-                                  "outlier_analysis", "sgqt_trajectory"])
+                                  "outlier_analysis", "sgqt_trajectory",
+                                  "two_qubit_shootout"])
 def test_demo_runs(name):
     path = os.pathsep.join(p for p in (str(ROOT / "src"),
                                        os.environ.get("PYTHONPATH")) if p)

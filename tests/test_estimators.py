@@ -3,7 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qtbench.engine import born_probabilities, sample_counts
+from qtbench.engine import (
+    CampaignConfig,
+    born_probabilities,
+    run_experiment,
+    sample_counts,
+)
 from qtbench.estimators import (
     FIXED_POINT_TOL,
     MeasurementRecord,
@@ -18,7 +23,7 @@ from qtbench.estimators import (
 )
 from qtbench.protocols import fmub_protocol, mub_protocol
 from qtbench.qcore import DensityMatrix, fidelity, haar_unitary
-from qtbench.states import gen_rmspt, gen_rps
+from qtbench.states import TestKind, gen_rmspt, gen_rps
 
 
 def exact_records(rho, specs, shots):
@@ -223,6 +228,17 @@ class TestFrml:
             wins += inf_large <= inf_small
         assert wins >= 95
 
+    def test_converges_where_fixed_point_iteration_stalled(self):
+        # a rank-2 boundary optimum on which a likelihood-tested diluted
+        # fixed-point iteration stops after 197 iterations at residual
+        # 1.12e-9, just above FIXED_POINT_TOL
+        config = CampaignConfig(dims=(2, 2), test=TestKind.RPS, protocol="fo",
+                                estimator="frml", n_grid=(1000,), base_seed=7)
+        res = run_experiment(config, 1000, 17)
+        assert not res.failed
+        assert res.converged
+        assert res.iterations <= 100
+
     def test_likelihood_above_uniform_start(self):
         rng = np.random.default_rng(68)
         rho = gen_rps((2, 2), rng)
@@ -233,13 +249,27 @@ class TestFrml:
 
 
 class TestTrml:
-    def test_full_rank_agrees_with_frml(self):
+    def test_full_rank_fits_are_certified_ml_points(self):
+        # the log-likelihood is concave over density matrices, so R rho = rho
+        # together with lambda_max(R) <= 1 certifies the global maximum,
+        # whichever solver produced rho
         rng = np.random.default_rng(69)
-        for _ in range(20):
-            rho = gen_rmspt((2,), 2, rng)
-            recs = sampled_records(rho, mub_protocol((2,)), 500, rng)
-            f = fidelity(trml(recs, 2).estimate, frml(recs).estimate)
-            assert f >= 1 - 1e-6
+        inputs = [sampled_records(gen_rmspt((2,), 2, rng), mub_protocol((2,)),
+                                  500, rng) for _ in range(20)]
+        rng = np.random.default_rng(92)
+        specs = fmub_protocol((2, 2))
+        for make in (gen_rps, lambda dims, g: gen_rmspt(dims, 4, g)):
+            for n_total in (1000, 10_000, 100_000):
+                for _ in range(3):
+                    inputs.append(sampled_records(make((2, 2), rng), specs,
+                                                  n_total // 9, rng))
+        for recs in inputs:
+            for rep in (trml(recs, recs[0].spec.povm.d), frml(recs)):
+                assert rep.converged
+                est = rep.estimate.mat
+                r_op = likelihood_operator(rep.estimate, recs)
+                assert np.max(np.abs(r_op @ est - est)) <= FIXED_POINT_TOL
+                assert np.linalg.eigvalsh(r_op)[-1] <= 1 + 1e-6
 
     def test_rank_one_noiseless_pure(self):
         rng = np.random.default_rng(70)
