@@ -122,14 +122,6 @@ def _unpack_hermitian(theta: np.ndarray, d: int) -> np.ndarray:
     return x
 
 
-def _check_complete(design: np.ndarray, d: int):
-    rank = np.linalg.matrix_rank(design)
-    if rank < d * d:
-        raise IncompleteRecordsError(
-            f"measurement records are informationally incomplete: design rank "
-            f"{rank} < {d * d}")
-
-
 def ppi(records) -> EstimatorReport:
     """Projected pseudo-inversion: least-squares solve of the observed
     frequencies for a Hermitian matrix, then projection of its spectrum onto
@@ -137,9 +129,13 @@ def ppi(records) -> EstimatorReport:
     povm, counts, shots = _stack(records)
     d = povm.shape[1]
     freqs = counts / shots
-    design = _real_design(povm)
-    _check_complete(design, d)
-    theta, *_ = np.linalg.lstsq(design, freqs, rcond=None)
+    # lstsq counts singular values above max(M, N) eps sigma_max, the
+    # threshold of matrix_rank
+    theta, _, rank, _ = np.linalg.lstsq(_real_design(povm), freqs, rcond=None)
+    if rank < d * d:
+        raise IncompleteRecordsError(
+            f"measurement records are informationally incomplete: design rank "
+            f"{rank} < {d * d}")
     x = _unpack_hermitian(theta, d)
     w, v = eig_hermitian(x)
     lam = project_to_simplex(w)
@@ -213,24 +209,9 @@ def _likelihood_operator(povm, freq, p):
 
 def frml(records) -> EstimatorReport:
     """Full-rank maximum likelihood: the rank-d fit of trml, anchored at the
-    pseudo-inversion point.
-
-    The pseudo-inversion estimate is returned when it is at least as likely
-    as the fit (with log_likelihood, so comparisons against ppi cannot lose
-    to roundoff); on one-qubit MUB data it is often the exact ML point. It
-    is then judged converged by the fixed-point condition R rho = rho.
-    """
-    povm, counts, _ = _stack(records)
-    d = povm.shape[1]
-    fit = trml(records, d)
-    anchor = ppi(records).estimate
-    if log_likelihood(anchor, records) < log_likelihood(fit.estimate, records):
-        return fit
-    rho = anchor.mat
-    r_op = _likelihood_operator(povm, counts / counts.sum(), _probs(povm, rho))
-    converged = float(np.max(np.abs(r_op @ rho - rho))) <= FIXED_POINT_TOL
-    return EstimatorReport(estimate=anchor, rank_used=d,
-                           iterations=fit.iterations, converged=converged)
+    pseudo-inversion point."""
+    d = records[0].spec.povm.d if records else 0   # no records: trml raises
+    return trml(records, d)
 
 
 def _real(z: np.ndarray) -> np.ndarray:
@@ -307,6 +288,10 @@ def trml(records, r: int) -> EstimatorReport:
     The fit converges when the residual is at most FIXED_POINT_TOL; it stops
     unconverged at MAX_ITERATIONS or when no gradient step improves the
     likelihood.
+    At r = d the pseudo-inversion estimate is returned instead when it is at
+    least as likely as the fit (with log_likelihood, so comparisons against
+    ppi cannot lose to roundoff); on one-qubit MUB data it is often the exact
+    ML point. It is then judged converged by R rho = rho.
     """
     povm, counts, _ = _stack(records)
     d = povm.shape[1]
@@ -314,7 +299,8 @@ def trml(records, r: int) -> EstimatorReport:
         raise ValueError(f"rank must lie in 1..{d}")
     freq = counts / counts.sum()
 
-    w, v = eig_hermitian(ppi(records).estimate.mat)
+    anchor = ppi(records).estimate
+    w, v = eig_hermitian(anchor.mat)
     lam = 0.95 * w[:r] + 0.05 / r  # keep every root column populated
     lam = np.clip(lam, 1e-12, None)
     lam /= lam.sum()
@@ -379,9 +365,14 @@ def trml(records, r: int) -> EstimatorReport:
         alpha = min(alpha * 2.0, 1e3)
     est = hermitize(c @ c.conj().T)
     est /= np.real(np.trace(est))
-    return EstimatorReport(
-        estimate=DensityMatrix(_dims_of(records), est),
-        rank_used=r, iterations=it, converged=converged)
+    fit = DensityMatrix(_dims_of(records), est)
+    if r == d and (log_likelihood(anchor, records)
+                   >= log_likelihood(fit, records)):
+        fit, rho = anchor, anchor.mat
+        r_op = _likelihood_operator(povm, freq, _probs(povm, rho))
+        converged = float(np.max(np.abs(r_op @ rho - rho))) <= FIXED_POINT_TOL
+    return EstimatorReport(estimate=fit, rank_used=r, iterations=it,
+                           converged=converged)
 
 
 # --- rank adequacy -----------------------------------------------------------

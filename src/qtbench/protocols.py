@@ -54,9 +54,9 @@ class Povm:
         d = total.shape[0]
         if np.max(np.abs(total - np.eye(d))) > POVM_SUM_TOL:
             raise ValueError("POVM elements do not sum to the identity")
-        for p in self.elements:
-            if np.linalg.eigvalsh((p + p.conj().T) / 2)[0] < PSD_EIG_FLOOR:
-                raise ValueError("POVM element is not positive semidefinite")
+        herm = (self.elements + self.elements.conj().transpose(0, 2, 1)) / 2
+        if np.linalg.eigvalsh(herm)[:, 0].min() < PSD_EIG_FLOOR:
+            raise ValueError("POVM element is not positive semidefinite")
 
     @property
     def d(self) -> int:

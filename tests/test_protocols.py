@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -117,6 +118,26 @@ class TestMubBases:
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError, match="prime-power"):
             mub_bases(6)
+
+    # sha256 over np.round(u, 12) + 0.0 of every basis in order (the + 0.0
+    # folds signed zeros); unbiasedness alone misses a change of phase or
+    # order, which would change raw data
+    PINNED_DIGESTS = {
+        2: "4bf7fb14a26e2a72f7d2cd5727e4af75bbe15a4336a2d4598ac63c57bf012cfb",
+        3: "707a4d368121e2d658c1d32e88762839a3c5f6fc3918e368c99fa7c690defb10",
+        4: "9aafe28ad723b8a3d2393dbf26e5b13be3f2cfa4b1aa5ca1e7271e3e1bcd6560",
+        5: "8eef65f6030bddc23fc729908128177d6169b390a357a60260af3f1f29a40bf0",
+        7: "27be7ae3b79624a5bd6a7cbaadca05767e18f1f442626f1bd1c7538f21a2b1b5",
+        8: "9e5cda03d396727378caf71a7a5be0c74e0a6526147132801f87e241e28f015a",
+        9: "6377438848e38088d8378788453b19834a0ef15ebd586c568dc066164a7dac0c",
+    }
+
+    @pytest.mark.parametrize("d", SUPPORTED_MUB_DIMS)
+    def test_bases_match_pinned_digests(self, d):
+        h = hashlib.sha256()
+        for u in mub_bases(d):
+            h.update((np.round(u, 12) + 0.0).tobytes())
+        assert h.hexdigest() == self.PINNED_DIGESTS[d]
 
 
 class TestStaticProtocols:
