@@ -122,9 +122,13 @@ def _build_config(args) -> CampaignConfig:
 
 def _workers(args) -> int:
     if args.workers is not None:
-        return args.workers
-    env = os.environ.get("QTBENCH_WORKERS")
-    return int(env) if env else 1
+        workers = args.workers
+    else:
+        env = os.environ.get("QTBENCH_WORKERS")
+        workers = int(env) if env else 1
+    if workers < 1:
+        raise ConfigError(f"need at least one worker, got {workers}")
+    return workers
 
 
 def _file_stem(method: str) -> str:

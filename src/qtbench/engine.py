@@ -8,6 +8,7 @@ protocol and estimator handlers receive nothing but copy counts and past
 measurement records.
 """
 
+import contextlib
 import json
 import math
 import time
@@ -346,23 +347,25 @@ def run_campaign(config: CampaignConfig, workers: int = 1,
     """Execute runs_per_n experiments for every sample size in the grid.
 
     Results are ordered by (grid position, run index) regardless of worker
-    count. ``on_batch(n, results)`` is invoked after each sample size
-    completes. Raises CampaignError if more than 1% of runs failed.
+    count. With more than one worker, one process pool serves the whole
+    grid, so each worker builds its protocol settings once. ``on_batch(n,
+    results)`` is invoked after each sample size completes. Raises
+    CampaignError if more than 1% of runs failed.
     """
-    workers = max(1, int(workers))
     results: list[RunResult] = []
-    for n_total in config.n_grid:
-        tasks = [(config, n_total, run) for run in range(config.runs_per_n)]
-        if workers == 1:
-            batch = [_run_task(t) for t in tasks]
-        else:
-            chunk = max(1, len(tasks) // (workers * 8))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        for n_total in config.n_grid:
+            tasks = [(config, n_total, run) for run in range(config.runs_per_n)]
+            if pool is None:
+                batch = [_run_task(t) for t in tasks]
+            else:
+                chunk = max(1, len(tasks) // (workers * 8))
                 batch = list(pool.map(_run_task, tasks, chunksize=chunk))
-        batch.sort(key=lambda r: r.run_index)
-        results.extend(batch)
-        if on_batch is not None:
-            on_batch(n_total, batch)
+            batch.sort(key=lambda r: r.run_index)
+            results.extend(batch)
+            if on_batch is not None:
+                on_batch(n_total, batch)
     failed = sum(r.failed for r in results)
     if failed > 0.01 * len(results):
         raise CampaignError(

@@ -12,11 +12,10 @@ chi-squared adequacy (arml).
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .protocols import IncompleteRecordsError, MeasurementSpec
 from .qcore import DensityMatrix, eig_hermitian, hermitize, project_to_simplex
-from .stats import nu
+from .stats import chi2_sf, nu
 
 MAX_ITERATIONS = 5000
 FIXED_POINT_TOL = 1e-9   # max-entry residual of the likelihood equation;
@@ -413,7 +412,7 @@ def chi2_pvalue(records, rho_fit: DensityMatrix, r: int) -> float:
     stat, dof = chi2_statistic(records, rho_fit, r)
     if dof <= 0:
         return 1.0
-    return float(scipy.stats.chi2.sf(stat, dof))
+    return chi2_sf(stat, dof)
 
 
 def arml(records, alpha: float = 0.05) -> EstimatorReport:

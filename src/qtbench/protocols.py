@@ -11,6 +11,7 @@ via the estimator they were given.
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,7 +68,7 @@ class Povm:
         return self.elements.shape[0]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class MeasurementSpec:
     """One measurement setting: a POVM, the number of state copies to use
     and the subsystem dimensions of the measured register.
@@ -102,12 +103,27 @@ def allocate_shots(n: int, m: int) -> list[int]:
 
 
 # --- static protocols --------------------------------------------------------
+#
+# A static protocol's settings depend on its dimensions alone, so each is
+# built and validated once per process and shared by every run: the specs
+# are frozen and their element stacks read-only, and a run spreads its budget
+# over them with replace(spec, shots=k), which shares the POVM.
 
-def mub_protocol(dims) -> list[MeasurementSpec]:
+def _shared_specs(povms, dims) -> tuple[MeasurementSpec, ...]:
+    for povm in povms:
+        povm.elements.setflags(write=False)
+    return tuple(MeasurementSpec(povm, dims=dims) for povm in povms)
+
+
+def mub_protocol(dims) -> tuple[MeasurementSpec, ...]:
     """Measurements in all d+1 mutually unbiased bases of the full space."""
-    dims = tuple(int(x) for x in dims)
-    d = int(np.prod(dims))
-    return [MeasurementSpec(basis_povm(u), dims=dims) for u in mub_bases(d)]
+    return _mub_specs(tuple(int(x) for x in dims))
+
+
+@lru_cache(maxsize=None)
+def _mub_specs(dims):
+    return _shared_specs([basis_povm(u) for u in mub_bases(math.prod(dims))],
+                         dims)
 
 
 def _tensor_products(local_ops) -> list[np.ndarray]:
@@ -122,31 +138,40 @@ def _tensor_products(local_ops) -> list[np.ndarray]:
     return out
 
 
-def fmub_protocol(dims) -> list[MeasurementSpec]:
+def fmub_protocol(dims) -> tuple[MeasurementSpec, ...]:
     """Factorized MUB measurements: every subsystem measured independently in
     its own MUBs, prod_j (d_j + 1) settings in total."""
-    dims = tuple(int(x) for x in dims)
-    return [MeasurementSpec(basis_povm(u), dims=dims)
-            for u in _tensor_products([mub_bases(dj) for dj in dims])]
+    return _fmub_specs(tuple(int(x) for x in dims))
 
 
-def pauli_protocol(n: int) -> list[MeasurementSpec]:
+@lru_cache(maxsize=None)
+def _fmub_specs(dims):
+    return _shared_specs([basis_povm(u) for u in _tensor_products(
+        [mub_bases(dj) for dj in dims])], dims)
+
+
+def pauli_protocol(n: int) -> tuple[MeasurementSpec, ...]:
     """All 4^n - 1 nontrivial Pauli-word observables on n qubits, each encoded
     as its two-outcome eigenprojector POVM (eigenvalues +1 and -1)."""
     if n < 1:
         raise ValueError("need at least one qubit")
+    return _pauli_specs(int(n))
+
+
+@lru_cache(maxsize=None)
+def _pauli_specs(n):
     eye = np.eye(2**n, dtype=complex)
     # the first word is the identity, which carries no information
     words = _tensor_products([_PAULI] * n)[1:]
-    return [MeasurementSpec(Povm(np.stack([(eye + w) / 2, (eye - w) / 2])),
-                            dims=(2,) * n) for w in words]
+    return _shared_specs([Povm(np.stack([(eye + w) / 2, (eye - w) / 2]))
+                          for w in words], (2,) * n)
 
 
 class StaticHandler:
     """Serves a static protocol's settings in order, with a run's sample
     budget spread evenly over them."""
 
-    def __init__(self, specs: list[MeasurementSpec], n_total: int):
+    def __init__(self, specs: tuple[MeasurementSpec, ...], n_total: int):
         shots = allocate_shots(n_total, len(specs))
         self._specs = iter([replace(s, shots=k) for s, k in zip(specs, shots)])
 

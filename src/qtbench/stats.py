@@ -7,7 +7,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .states import TestKind
 
@@ -56,13 +55,25 @@ def nu(d: int, r: int) -> int:
     return (2 * d - r) * r - 1
 
 
+def _chi2():
+    # scipy.stats is imported on first use: it takes most of the import time
+    # of qtbench, and runs that compute no chi-squared value never need it
+    from scipy.stats import chi2
+    return chi2
+
+
 def chi2_icdf(p: float, dof: int) -> float:
     """Inverse CDF of the chi-squared distribution."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
     if dof < 1:
         raise ValueError("dof must be >= 1")
-    return float(scipy.stats.chi2.ppf(p, dof))
+    return float(_chi2().ppf(p, dof))
+
+
+def chi2_sf(x: float, dof: int) -> float:
+    """Upper-tail probability of the chi-squared distribution."""
+    return float(_chi2().sf(x, dof))
 
 
 def lower_bound_infidelity_p95(n: float, d: int, r: int) -> float:

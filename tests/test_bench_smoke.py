@@ -13,10 +13,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_adaptive_workload_is_correct():
+def run_traced(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "adaptive-2q",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True
+
+
+def test_traced_adaptive_workload_is_correct():
+    run_traced("adaptive-2q")
+
+
+def test_traced_static_workload_is_correct():
+    # static runs go through resolve_method and read the shared settings
+    run_traced("static-2q")

@@ -193,3 +193,13 @@ class TestWorkersFromEnvironment:
         run_analyze(ref)
         assert canonical_raw(tmp_path / "raw_rps_fmub-ppi.jsonl") == \
             canonical_raw(ref / "raw_rps_fmub-ppi.jsonl")
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_fewer_than_one_worker_exits_2_without_output(
+            self, tmp_path, monkeypatch, capsys, workers):
+        out = tmp_path / "x"
+        assert run_analyze(out, extra=("--workers", workers)) == 2
+        assert "at least one worker" in capsys.readouterr().err
+        monkeypatch.setenv("QTBENCH_WORKERS", workers)
+        assert run_analyze(out) == 2
+        assert not out.exists()

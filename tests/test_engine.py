@@ -300,6 +300,25 @@ class TestRunCampaign:
         b = run_campaign(config, workers=2)
         assert [result_key(r) for r in a] == [result_key(r) for r in b]
 
+    def test_one_pool_serves_the_whole_grid(self, monkeypatch):
+        pools = []
+
+        class CountingPool(engine.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+        config = make_config(n_grid=(100, 1000))
+        batches = []
+        b = run_campaign(config, workers=2,
+                         on_batch=lambda n, batch: batches.append(n))
+        assert pools == [{"max_workers": 2}]
+        assert batches == [100, 1000]
+        a = run_campaign(config, workers=1)
+        assert len(pools) == 1
+        assert [result_key(r) for r in a] == [result_key(r) for r in b]
+
     def test_failure_ratio_raises(self, monkeypatch):
         config = make_config(runs_per_n=10)
 

@@ -1,9 +1,16 @@
+import dataclasses
 import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
+from qtbench.engine import (
+    CampaignConfig,
+    parse_method,
+    resolve_method,
+    run_experiment,
+)
 from qtbench.mub import SUPPORTED_MUB_DIMS, mub_bases
 from qtbench.protocols import (
     AmubHandler,
@@ -183,6 +190,66 @@ class TestStaticProtocols:
         for spec in fmub_protocol((2, 2)) + mub_protocol((2, 2)):
             total = spec.povm.elements.sum(axis=0)
             np.testing.assert_allclose(total, np.eye(4), atol=1e-8)
+
+
+class TestSharedStaticSettings:
+    """Static settings are built once per process and shared read-only."""
+
+    def test_builders_are_memoised_on_normalised_arguments(self):
+        assert fmub_protocol((2, 2)) is fmub_protocol([2, 2])
+        assert mub_protocol((2, 2)) is mub_protocol(np.array([2, 2]))
+        assert pauli_protocol(3) is pauli_protocol(np.int64(3))
+
+    @pytest.mark.parametrize("specs", [fmub_protocol((2, 2)),
+                                       mub_protocol((3,)), pauli_protocol(2)])
+    def test_cached_element_stacks_are_read_only(self, specs):
+        for spec in specs:
+            with pytest.raises(ValueError, match="read-only"):
+                spec.povm.elements[0, 0, 0] = 0.5
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                spec.shots = 2
+
+    def test_handlers_share_povms_and_runs_leave_them_unchanged(self):
+        config = CampaignConfig(dims=(2, 2), test="rps", protocol="fmub",
+                                estimator="trml:1", n_grid=(900,),
+                                runs_per_n=2, base_seed=4)
+        rng = np.random.default_rng(0)
+        first, _ = resolve_method(config, 900, rng)
+        second, _ = resolve_method(config, 901, rng)
+        a = [first.next(0, []) for _ in range(9)]
+        b = [second.next(0, []) for _ in range(9)]
+        assert [s.shots for s in a] == [100] * 9
+        assert [s.shots for s in b] == [101] + [100] * 8
+        assert all(x.povm is y.povm for x, y in zip(a, b))
+        before = [s.povm.elements.copy() for s in a]
+        assert not run_experiment(config, 900, 0).failed
+        for spec, elements in zip(fmub_protocol((2, 2)), before):
+            np.testing.assert_array_equal(spec.povm.elements, elements)
+
+    # sha256 over "seed failed fidelity" (fidelity to 12 decimals) of runs
+    # 0-3 at N = 100 and 1000, base seed 3, test rps; ppi does not iterate,
+    # so only a change of settings, sampling or seeding moves these
+    PINNED_RUN_DIGESTS = {
+        ("fmub+ppi", (2, 2)):
+            "2e9ee3ebfbe4156fb17a019bcf722c53296d38433a637f6bb35ff70921f5d2e9",
+        ("mub+ppi", (2, 2)):
+            "2d483c7fac620d3eb5336f4a6488df0e84e1dbe1ea2a94912ef36953fc86e164",
+        ("pauli+ppi", (2, 2, 2)):
+            "f9cc50f6759231d9762a31ff02ec8ef7344b282c9dbcad8f975a2b19ddcb0267",
+    }
+
+    @pytest.mark.parametrize("method,dims", PINNED_RUN_DIGESTS)
+    def test_runs_match_pinned_digests(self, method, dims):
+        protocol, estimator = parse_method(method)
+        config = CampaignConfig(dims=dims, test="rps", protocol=protocol,
+                                estimator=estimator, n_grid=(100, 1000),
+                                runs_per_n=4, base_seed=3)
+        h = hashlib.sha256()
+        for n in config.n_grid:
+            for run in range(config.runs_per_n):
+                r = run_experiment(config, n, run)
+                h.update(f"{r.seed} {r.failed} {r.fidelity:.12f}\n".encode())
+        assert h.hexdigest() == self.PINNED_RUN_DIGESTS[method, dims]
 
 
 class TestAllocateShots:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.special
@@ -8,6 +13,7 @@ from qtbench.stats import (
     PercentileCurve,
     build_curve,
     chi2_icdf,
+    chi2_sf,
     compile_report,
     efficiency,
     interpolate_NB,
@@ -93,6 +99,36 @@ class TestChi2Icdf:
             chi2_icdf(0.0, 3)
         with pytest.raises(ValueError):
             chi2_icdf(0.5, 0)
+
+
+class TestChi2Sf:
+    def test_against_incomplete_gamma(self):
+        for x, dof in ((12.5, 6), (3.0, 15), (0.2, 1), (40.0, 21)):
+            oracle = scipy.special.gammaincc(dof / 2, x / 2)
+            assert chi2_sf(x, dof) == pytest.approx(oracle, rel=1e-9)
+
+    def test_inverts_icdf(self):
+        assert chi2_sf(chi2_icdf(0.95, 15), 15) == pytest.approx(0.05,
+                                                                 rel=1e-9)
+
+
+def test_runs_without_chi2_leave_scipy_stats_unloaded():
+    # scipy.stats dominates import time; only chi-squared values load it
+    code = ("import sys, qtbench\n"
+            "config = qtbench.CampaignConfig(dims=(2, 2), test='rps', "
+            "protocol='fmub', estimator='trml:1', n_grid=(1000,), "
+            "runs_per_n=2)\n"
+            "assert not qtbench.run_experiment(config, 1000, 0).failed\n"
+            "print('scipy.stats' in sys.modules)\n"
+            "qtbench.chi2_icdf(0.95, 3)\n"
+            "print('scipy.stats' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 class TestLowerBound:
