@@ -58,7 +58,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 def _parse_grid(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(float(x)) for x in text.split(","))
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigError(f"invalid grid {text!r}; expected e.g. '100,1000'") from None
 
 
@@ -180,11 +180,15 @@ def _load_raw(paths):
         context = None
         results = []
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                ctx, res = parse_raw_line(line)
+                try:
+                    ctx, res = parse_raw_line(line)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ConfigError(f"{path}:{lineno}: malformed raw record "
+                                      f"({type(exc).__name__}: {exc})") from None
                 if context is None:
                     context = ctx
                 elif ctx != context:

@@ -233,6 +233,8 @@ class CampaignConfig:
         if self.base_seed < 0:
             raise ConfigError("base seed must be nonnegative")
         validate_method(self.protocol, self.estimator, self.dims)
+        if self.test is TestKind.RNP and any(x != 2 for x in self.dims):
+            raise ConfigError("test 'rnp' is defined for qubit registers only")
         n_min = PROTOCOLS[self.protocol].min_n(self)
         if self.n_grid[0] < n_min:
             raise ConfigError(

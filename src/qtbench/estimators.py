@@ -24,6 +24,7 @@ FIXED_POINT_TOL = 1e-9   # max-entry residual of the likelihood equation;
 NEWTON_BELOW = 1e-3      # trml residual below which Newton steps are tried
 FRLS_KKT_TOL = 1e-7      # gradient-mapping residual of the least-squares fit
 MERGE_EXPECTED_FLOOR = 1e-9
+ARML_ALPHA = 0.05        # p-value from which arml deems a rank adequate
 
 
 @dataclass(eq=False)
@@ -71,13 +72,6 @@ def _stack(records):
     shots = np.concatenate([np.full(r.spec.povm.n_outcomes, float(r.spec.shots))
                             for r in records])
     return povm, counts, shots
-
-
-def _dims_of(records) -> tuple[int, ...]:
-    dims = records[0].spec.dims
-    if dims is None:
-        dims = (records[0].spec.povm.d,)
-    return tuple(dims)
 
 
 def _probs(povm: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -140,7 +134,7 @@ def ppi(records) -> EstimatorReport:
     lam = project_to_simplex(w)
     est = hermitize((v * lam) @ v.conj().T)
     return EstimatorReport(
-        estimate=DensityMatrix(_dims_of(records), est),
+        estimate=DensityMatrix(records[0].spec.dims, est),
         rank_used=d, iterations=0, converged=True)
 
 
@@ -191,7 +185,7 @@ def frls(records) -> EstimatorReport:
             converged = True
             break
     return EstimatorReport(
-        estimate=DensityMatrix(_dims_of(records), rho),
+        estimate=DensityMatrix(records[0].spec.dims, rho),
         rank_used=d, iterations=it, converged=converged)
 
 
@@ -364,7 +358,7 @@ def trml(records, r: int) -> EstimatorReport:
         alpha = min(alpha * 2.0, 1e3)
     est = hermitize(c @ c.conj().T)
     est /= np.real(np.trace(est))
-    fit = DensityMatrix(_dims_of(records), est)
+    fit = DensityMatrix(records[0].spec.dims, est)
     if r == d and (log_likelihood(anchor, records)
                    >= log_likelihood(fit, records)):
         fit, rho = anchor, anchor.mat
@@ -415,10 +409,10 @@ def chi2_pvalue(records, rho_fit: DensityMatrix, r: int) -> float:
     return chi2_sf(stat, dof)
 
 
-def arml(records, alpha: float = 0.05) -> EstimatorReport:
+def arml(records) -> EstimatorReport:
     """Adequate-rank maximum likelihood: fit ranks r = 1..d in sequence and
-    stop at the first adequate one (p-value >= alpha), or one step after the
-    p-value starts decreasing."""
+    stop at the first adequate one (p-value >= ARML_ALPHA), or one step
+    after the p-value starts decreasing."""
     povm, _, _ = _stack(records)
     d = povm.shape[1]
     pvalues: list[float] = []
@@ -428,7 +422,7 @@ def arml(records, alpha: float = 0.05) -> EstimatorReport:
         rep = trml(records, r)
         reports.append(rep)
         pvalues.append(chi2_pvalue(records, rep.estimate, r))
-        if pvalues[-1] >= alpha:
+        if pvalues[-1] >= ARML_ALPHA:
             chosen = r
             break
         if r >= 2 and pvalues[-1] < pvalues[-2]:

@@ -16,17 +16,13 @@ from functools import lru_cache
 import numpy as np
 
 from .mub import mub_bases
-from .qcore import (
-    POVM_SUM_TOL,
-    PSD_EIG_FLOOR,
-    DensityMatrix,
-    PureState,
-    eig_hermitian,
-    haar_vector,
-)
+from .qcore import POVM_SUM_TOL, PSD_EIG_FLOOR, eig_hermitian, haar_vector
 
 ADAPTIVE_MIN_STEP = 100   # shots per adaptive step: max(100, floor(N_t / 30))
 ADAPTIVE_STEP_DIV = 30
+PRODUCT_RESTARTS = 5      # product-vector search: random starts,
+PRODUCT_SWEEPS = 100      # alternating sweeps per start,
+PRODUCT_SWEEP_TOL = 1e-9  # and the objective decrease that ends a start
 
 
 class IncompleteRecordsError(ValueError):
@@ -70,16 +66,16 @@ class Povm:
 
 @dataclass(eq=False, frozen=True)
 class MeasurementSpec:
-    """One measurement setting: a POVM, the number of state copies to use
-    and the subsystem dimensions of the measured register.
+    """One measurement setting: a POVM, the subsystem dimensions of the
+    measured register and the number of state copies to use.
 
     Basis, observable and operator measurements are all encoded through
     their induced POVMs.
     """
 
     povm: Povm
+    dims: tuple[int, ...]
     shots: int = 1
-    dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.shots < 1:
@@ -264,9 +260,7 @@ def _env_vector(tensor: np.ndarray, phis: list[np.ndarray], j: int) -> np.ndarra
     return out
 
 
-def _product_vector_factors(targets: np.ndarray, dims, rng,
-                            restarts: int = 5, sweeps: int = 100,
-                            tol: float = 1e-9):
+def _product_vector_factors(targets: np.ndarray, dims, rng):
     """Alternating minimization of sum_k |<phi_1 x ... x phi_n | t_k>|^2.
 
     Each local update is an exact smallest-eigenvector computation, so the
@@ -277,10 +271,10 @@ def _product_vector_factors(targets: np.ndarray, dims, rng,
     n = len(dims)
     tensors = [targets[:, k].reshape(dims) for k in range(targets.shape[1])]
     best_factors, best_obj = None, np.inf
-    for _ in range(restarts):
+    for _ in range(PRODUCT_RESTARTS):
         phis = [haar_vector(dj, rng).vec for dj in dims]
         prev = np.inf
-        for _ in range(sweeps):
+        for _ in range(PRODUCT_SWEEPS):
             for j in range(n):
                 a = np.zeros((dims[j], dims[j]), dtype=complex)
                 for t in tensors:
@@ -290,7 +284,7 @@ def _product_vector_factors(targets: np.ndarray, dims, rng,
                 phis[j] = vecs[:, 0]
             obj = sum(abs(np.vdot(phis[0], _env_vector(t, phis, 0))) ** 2
                       for t in tensors)
-            if prev - obj < tol:
+            if prev - obj < PRODUCT_SWEEP_TOL:
                 break
             prev = obj
         if obj < best_obj:
@@ -299,20 +293,6 @@ def _product_vector_factors(targets: np.ndarray, dims, rng,
         if best_obj < 1e-14:
             break
     return best_factors, float(best_obj)
-
-
-def orthogonal_product_vector(rho_est: DensityMatrix, k: int,
-                              rng: np.random.Generator) -> PureState:
-    """Product state minimizing overlap with the top-k eigenvectors of an
-    estimate; an exact orthogonal solution exists whenever k <= sum(d_j) - n."""
-    dims = rho_est.dims
-    k_max = sum(dims) - len(dims)
-    if not 1 <= k <= k_max:
-        raise ValueError(f"k must lie in 1..{k_max} for dims {dims}")
-    _, v = eig_hermitian(rho_est.mat)
-    factors, _ = _product_vector_factors(v[:, :k], dims, rng)
-    (out,) = _tensor_products([[p] for p in factors])
-    return PureState(dims, out)
 
 
 def complete_local_basis(phi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -337,9 +317,6 @@ class FoHandler(_QueuedAdaptiveHandler):
 
     def __init__(self, dims, estimator, rng, budget=None):
         super().__init__(dims, estimator, budget)
-        if len(self.dims) < 2:
-            raise ValueError("factorized-orthogonal protocols need at least "
-                             "two subsystems")
         self.rng = rng
         self.k_max = sum(self.dims) - len(self.dims)
         self._local_bases = [[np.eye(dj, dtype=complex)] for dj in self.dims]

@@ -9,7 +9,6 @@ HERMITIAN_TOL = 1e-10        # max |rho - rho^dag| entry for a density matrix
 TRACE_TOL = 1e-10            # |Tr rho - 1|
 PSD_EIG_FLOOR = -1e-10       # smallest admissible density-matrix eigenvalue
 STATE_NORM_TOL = 1e-12       # pure-state normalization
-UNITARY_TOL = 1e-10          # ||U^dag U - I||_max
 HERMITIAN_INPUT_TOL = 1e-8   # eig_hermitian input check
 POVM_SUM_TOL = 1e-8          # POVM completeness
 
@@ -48,9 +47,6 @@ class DensityMatrix:
     @property
     def d(self) -> int:
         return self.mat.shape[0]
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.mat @ self.mat)))
 
 
 @dataclass(eq=False)
@@ -107,31 +103,6 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     product = sqrt_psd(sigma.mat) @ sqrt_psd(rho.mat)
     f = float(np.sum(np.linalg.svd(product, compute_uv=False))) ** 2
     return min(max(f, 0.0), 1.0)
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every subsystem not listed in ``keep`` (set of indices)."""
-    dims = rho.dims
-    n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"subsystem index out of range for {n} subsystems")
-    if len(keep) == n:
-        raise ValueError("keep set must be a proper subset of subsystems")
-    tens = rho.mat.reshape(dims + dims)
-    removed = 0
-    for j in range(n):
-        if j in keep:
-            continue
-        ax_row = j - removed
-        ax_col = n + j - 2 * removed
-        tens = np.trace(tens, axis1=ax_row, axis2=ax_col)
-        removed += 1
-    kept_dims = tuple(dims[k] for k in keep)
-    dk = int(np.prod(kept_dims))
-    return DensityMatrix(kept_dims, tens.reshape(dk, dk))
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

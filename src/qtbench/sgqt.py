@@ -61,10 +61,6 @@ class SgqtHandler:
         self.params = params or SgqtParams()
         self.rng = rng
         self.iterations = budget // (2 * self.params.shots_per_eval)
-        if self.iterations < 1:
-            raise ValueError(
-                f"budget {budget} is below one evaluation pair "
-                f"(2 x {self.params.shots_per_eval} shots)")
         self.psi = _fix_phase(haar_vector(self.d, rng).vec)
         self.k = 1
         self._stage = 0          # 0: issue plus, 1: issue minus, 2: update

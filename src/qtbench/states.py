@@ -7,7 +7,6 @@ depolarization.
 """
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,23 +28,6 @@ class TestKind(enum.Enum):
                 return kind
         raise ValueError(f"unknown test id {name!r}; expected one of "
                          f"{[k.value for k in cls]}")
-
-
-@dataclass
-class NoiseParams:
-    """Noise levels for noisy-preparation states."""
-
-    p: float = 0.0      # depolarizing weight
-    e0: float = 0.0     # per-qubit initialization error probability
-    sigma: float = 0.0  # random-unitary error scale
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        if not 0.0 <= self.e0 <= 1.0:
-            raise ValueError("e0 must lie in [0, 1]")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
 
 
 def gen_rps(dims, rng: np.random.Generator) -> DensityMatrix:

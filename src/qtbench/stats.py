@@ -76,16 +76,6 @@ def chi2_sf(x: float, dof: int) -> float:
     return float(_chi2().sf(x, dof))
 
 
-def lower_bound_infidelity_p95(n: float, d: int, r: int) -> float:
-    """Theoretical floor of the 95th infidelity percentile at sample size n:
-    d0 * ICDF_chi2(0.95 | nu) with d0 = nu / (4 n (d - 1))."""
-    if n <= 0:
-        raise ValueError("sample size must be positive")
-    v = nu(d, r)
-    d0 = v / (4.0 * n * (d - 1))
-    return d0 * chi2_icdf(0.95, v)
-
-
 def lower_bound_NB(f_target: float, d: int, r: int) -> float:
     """Smallest sample size any method could need to push the 95th infidelity
     percentile down to 1 - f_target."""

@@ -74,6 +74,18 @@ class TestAnalyzeCommand:
         assert run_analyze(out, method="fo+ppi", grid="300,400") == 2
         assert "below 801" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
+        # noisy preparation is defined on qubit registers only
+        assert run_analyze(out, method="mub+ppi", test="rnp",
+                           extra=("--dims", "3")) == 2
+        assert "qubit registers" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_infinite_grid_value_exits_2_without_output(self, tmp_path,
+                                                        capsys):
+        out = tmp_path / "x"
+        assert run_analyze(out, grid="100,inf") == 2
+        assert "invalid grid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_test_exits_2(self, tmp_path):
         assert run_analyze(tmp_path, test="nope") == 2
@@ -146,6 +158,15 @@ class TestReportCommand:
         run_analyze(tmp_path, test="rnp", method="fmub+frml", grid="200,400")
         p2 = str(tmp_path / "raw_rnp_fmub-frml.jsonl")
         assert main(["report", p1, p2, "--out", str(tmp_path / "rep")]) == 2
+
+    def test_malformed_record_exits_2_without_output(self, tmp_path, capsys):
+        raw = tmp_path / "raw.jsonl"
+        out = tmp_path / "rep"
+        for record in ("{}", "[]", "not json"):
+            raw.write_text(record + "\n")
+            assert main(["report", str(raw), "--out", str(out)]) == 2
+            assert f"{raw}:1: malformed raw record" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["report", str(tmp_path / "none.jsonl"),

@@ -21,8 +21,8 @@ from qtbench.protocols import (
     allocate_shots,
     complete_local_basis,
     fmub_protocol,
+    _product_vector_factors,
     mub_protocol,
-    orthogonal_product_vector,
     pauli_protocol,
 )
 from qtbench.qcore import DensityMatrix, eig_hermitian
@@ -92,7 +92,7 @@ class TestPovm:
     def test_spec_requires_positive_shots(self):
         povm = Povm(np.stack([np.eye(2) / 2, np.eye(2) / 2]))
         with pytest.raises(ValueError, match="shots"):
-            MeasurementSpec(povm, shots=0)
+            MeasurementSpec(povm, (2,), shots=0)
 
 
 class TestMubBases:
@@ -302,22 +302,32 @@ class TestAmubHandler:
         assert handler.next(500, []) is None
 
 
+def product_vector(targets, dims, rng):
+    """The product state _product_vector_factors finds for the targets."""
+    factors, _ = _product_vector_factors(targets, dims, rng)
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.kron(out, f)
+    return out
+
+
 class TestOrthogonalProductVector:
+    """The product-vector search FO runs: a product state orthogonal to the
+    top eigenvectors of an estimate."""
+
     def test_ground_state_single_component(self):
         rng = np.random.default_rng(41)
-        rho = DensityMatrix((2, 2), np.diag([1.0, 0, 0, 0]).astype(complex))
-        phi = orthogonal_product_vector(rho, 1, rng)
-        assert abs(np.vdot(phi.vec, ket(4, 0))) ** 2 <= 1e-6
+        phi = product_vector(ket(4, 0)[:, None], (2, 2), rng)
+        assert abs(np.vdot(phi, ket(4, 0))) ** 2 <= 1e-6
 
     def test_random_state_two_components(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
             g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             m = g @ g.conj().T
-            rho = DensityMatrix((2, 2), m / np.trace(m))
-            _, v = eig_hermitian(rho.mat)
-            phi = orthogonal_product_vector(rho, 2, rng)
-            residual = sum(abs(np.vdot(v[:, k], phi.vec)) ** 2 for k in range(2))
+            _, v = eig_hermitian(m / np.trace(m))
+            phi = product_vector(v[:, :2], (2, 2), rng)
+            residual = sum(abs(np.vdot(v[:, k], phi)) ** 2 for k in range(2))
             assert residual <= 1e-6
 
     def test_matches_dense_grid_oracle(self):
@@ -326,8 +336,7 @@ class TestOrthogonalProductVector:
         rng = np.random.default_rng(43)
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         m = g @ g.conj().T
-        rho = DensityMatrix((2, 2), m / np.trace(m))
-        _, v = eig_hermitian(rho.mat)
+        _, v = eig_hermitian(m / np.trace(m))
         targets = v[:, :2]
 
         thetas = np.linspace(0, np.pi / 2, 20)
@@ -337,16 +346,10 @@ class TestOrthogonalProductVector:
         prods = np.einsum("ai,bj->abij", locals_, locals_).reshape(-1, 4)
         grid_min = float(np.min(np.sum(np.abs(prods.conj() @ targets) ** 2, axis=1)))
 
-        phi = orthogonal_product_vector(rho, 2, rng)
-        residual = float(np.sum(np.abs(targets.conj().T @ phi.vec) ** 2))
+        phi = product_vector(targets, (2, 2), rng)
+        residual = float(np.sum(np.abs(targets.conj().T @ phi) ** 2))
         assert residual <= grid_min + 1e-6
         assert residual <= 1e-6
-
-    def test_k_out_of_range(self):
-        rng = np.random.default_rng(44)
-        rho = DensityMatrix((2, 2), np.eye(4) / 4)
-        with pytest.raises(ValueError, match="k must lie"):
-            orthogonal_product_vector(rho, 3, rng)
 
 
 class TestFoHandler:
@@ -354,11 +357,6 @@ class TestFoHandler:
         rng = np.random.default_rng(45)
         assert FoHandler((2, 2), _StubEstimator(None), rng).k_max == 2
         assert FoHandler((2, 2, 2), _StubEstimator(None), rng).k_max == 3
-
-    def test_rejects_single_subsystem(self):
-        rng = np.random.default_rng(46)
-        with pytest.raises(ValueError, match="two subsystems"):
-            FoHandler((4,), _StubEstimator(None), rng)
 
     def test_issues_factorized_basis_with_step_schedule(self):
         rng = np.random.default_rng(47)

@@ -11,9 +11,13 @@ from qtbench.qcore import (
     fidelity,
     haar_unitary,
     haar_vector,
-    partial_trace,
     project_to_simplex,
 )
+
+
+def purity(rho):
+    """Tr(rho^2) of a DensityMatrix."""
+    return float(np.real(np.trace(rho.mat @ rho.mat)))
 
 
 def random_density(d, rng, rank=None):
@@ -132,50 +136,6 @@ class TestFidelity:
             fidelity(random_density(2, rng), random_density(3, rng))
 
 
-class TestPartialTrace:
-    def test_bell_state_marginal(self):
-        bell = (np.kron(ket(2, 0), ket(2, 0)) + np.kron(ket(2, 1), ket(2, 1))) / np.sqrt(2)
-        rho = DensityMatrix((2, 2), np.outer(bell, bell.conj()))
-        red = partial_trace(rho, keep={1})
-        np.testing.assert_allclose(red.mat, np.eye(2) / 2, atol=1e-12)
-
-    def test_product_state(self):
-        rng = np.random.default_rng(6)
-        a = random_density(2, rng)
-        b = random_density(3, rng)
-        joint = DensityMatrix((2, 3), np.kron(a.mat, b.mat))
-        red = partial_trace(joint, keep={0})
-        np.testing.assert_allclose(red.mat, a.mat, atol=1e-12)
-
-    def test_matches_index_sum_oracle(self):
-        # Oracle: explicit sum over ancilla basis <a|_A rho |a>_A.
-        rng = np.random.default_rng(7)
-        rho = random_density(4, rng)
-        rho22 = DensityMatrix((2, 2), rho.mat)
-        red = partial_trace(rho22, keep={0})
-        oracle = np.zeros((2, 2), dtype=complex)
-        t = rho22.mat.reshape(2, 2, 2, 2)
-        for a in range(2):
-            oracle += t[:, a, :, a]
-        np.testing.assert_allclose(red.mat, oracle, atol=1e-12)
-
-    def test_output_is_valid_density(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            rho = DensityMatrix((2, 2, 2), random_density(8, rng).mat)
-            red = partial_trace(rho, keep={0, 2})
-            assert red.dims == (2, 2)
-            assert np.trace(red.mat) == pytest.approx(1.0, abs=1e-10)
-
-    def test_rejects_empty_and_full_keep(self):
-        rng = np.random.default_rng(9)
-        rho = DensityMatrix((2, 2), random_density(4, rng).mat)
-        with pytest.raises(ValueError):
-            partial_trace(rho, keep=set())
-        with pytest.raises(ValueError):
-            partial_trace(rho, keep={0, 1})
-
-
 class TestHaarSampling:
     def test_unitary_d1_is_phase(self):
         rng = np.random.default_rng(10)
@@ -287,4 +247,4 @@ class TestPureState:
     def test_to_density(self):
         psi = PureState((2,), np.array([1.0, 1.0]) / np.sqrt(2))
         rho = psi.to_density()
-        assert rho.purity() == pytest.approx(1.0, abs=1e-12)
+        assert purity(rho) == pytest.approx(1.0, abs=1e-12)

@@ -19,7 +19,6 @@ from qtbench.stats import (
     interpolate_NB,
     interpolate_at_NB,
     lower_bound_NB,
-    lower_bound_infidelity_p95,
     lower_bound_report,
     medcouple,
     nu,
@@ -132,19 +131,10 @@ def test_runs_without_chi2_leave_scipy_stats_unloaded():
 
 
 class TestLowerBound:
-    def test_infidelity_floor_at_table_sample_sizes(self):
-        assert lower_bound_infidelity_p95(6296, 4, 1) == pytest.approx(1e-3, rel=1e-3)
-        assert lower_bound_infidelity_p95(31245, 4, 4) == pytest.approx(1e-3, rel=1e-3)
-        assert lower_bound_infidelity_p95(2996, 2, 1) == pytest.approx(1e-3, rel=1e-3)
-
     def test_benchmark_sample_sizes(self):
         assert abs(lower_bound_NB(0.999, 4, 1) - 6296) <= 1
         assert abs(lower_bound_NB(0.999, 4, 4) - 31245) <= 1
         assert abs(lower_bound_NB(0.999, 2, 1) - 2996) <= 1
-
-    def test_round_trip(self):
-        n_b = lower_bound_NB(0.999, 4, 1)
-        assert lower_bound_infidelity_p95(n_b, 4, 1) == pytest.approx(1e-3, rel=1e-12)
 
 
 class TestEfficiency:
