@@ -28,7 +28,6 @@ from .engine import (
     run_campaign,
     validate_method,
 )
-from .sgqt import SgqtParams
 from .states import TestKind
 from .stats import (
     build_curve,
@@ -62,6 +61,9 @@ def _parse_grid(text: str) -> tuple[int, ...]:
         raise ConfigError(f"invalid grid {text!r}; expected e.g. '100,1000'") from None
 
 
+MANIFEST_KEYS = ("dims", "test", "method", "fb", "grid", "runs", "seed")
+
+
 def _read_config_file(path: str) -> dict:
     """Flat key=value campaign manifest; '#' starts a comment line."""
     values: dict[str, str] = {}
@@ -72,20 +74,12 @@ def _read_config_file(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key, _, value = map(str.strip, line.partition("="))
+            if key not in MANIFEST_KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; "
+                                  f"expected one of {MANIFEST_KEYS}")
+            values[key] = value
     return values
-
-
-def _sgqt_params(settings: dict) -> SgqtParams | None:
-    keys = {"sgqt.A": "A", "sgqt.a": "a", "sgqt.b": "b", "sgqt.s": "s",
-            "sgqt.t": "t", "sgqt.shots": "shots_per_eval"}
-    kwargs = {}
-    for key, attr in keys.items():
-        if key in settings:
-            cast = int if attr == "shots_per_eval" else float
-            kwargs[attr] = cast(settings[key])
-    return SgqtParams(**kwargs) if kwargs else None
 
 
 def _build_config(args) -> CampaignConfig:
@@ -116,8 +110,7 @@ def _build_config(args) -> CampaignConfig:
     return CampaignConfig(
         dims=dims, test=test, protocol=protocol, estimator=estimator,
         n_grid=grid, runs_per_n=1000 if runs is None else runs,
-        base_seed=0 if seed is None else seed, f_target=f_target,
-        sgqt=_sgqt_params(settings))
+        base_seed=0 if seed is None else seed, f_target=f_target)
 
 
 def _workers(args) -> int:

@@ -14,7 +14,7 @@ import math
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -33,7 +33,7 @@ from .protocols import (
     pauli_protocol,
 )
 from .qcore import DensityMatrix, fidelity
-from .sgqt import SgqtHandler, SgqtParams
+from .sgqt import SGQT_SHOTS, SgqtHandler
 from .states import TestKind, generate_state
 from .stats import lower_bound_NB, rank_for_test
 
@@ -98,8 +98,8 @@ PROTOCOLS = {
         min_n=lambda c: math.prod(dj + 1 for dj in c.dims),
         mub_dims=lambda dims: dims, multipartite=True, factorized=True),
     "sgqt": ProtocolRow(
-        build=lambda c, n, est, rng: SgqtHandler(c.dims, n, rng, c.sgqt),
-        min_n=lambda c: 2 * (c.sgqt or SgqtParams()).shots_per_eval,
+        build=lambda c, n, est, rng: SgqtHandler(c.dims, n, rng),
+        min_n=lambda c: 2 * SGQT_SHOTS,
         takes_estimator=False),
 }
 
@@ -215,7 +215,6 @@ class CampaignConfig:
     runs_per_n: int = 1000
     base_seed: int = 0
     f_target: float = 0.999
-    sgqt: SgqtParams | None = None
 
     def __post_init__(self):
         self.dims = tuple(int(x) for x in self.dims)
@@ -235,16 +234,21 @@ class CampaignConfig:
         validate_method(self.protocol, self.estimator, self.dims)
         if self.test is TestKind.RNP and any(x != 2 for x in self.dims):
             raise ConfigError("test 'rnp' is defined for qubit registers only")
-        n_min = PROTOCOLS[self.protocol].min_n(self)
-        if self.n_grid[0] < n_min:
-            raise ConfigError(
-                f"smallest sample size {self.n_grid[0]} is below {n_min}, the "
-                f"fewest copies from which protocol {self.protocol!r} yields "
-                f"an estimate on dims {list(self.dims)}")
+        check_min_n(self, self.n_grid[0])
 
     @property
     def method(self) -> str:
         return format_method(self.protocol, self.estimator)
+
+
+def check_min_n(config: CampaignConfig, n_total: int):
+    """Reject a sample size below the configured protocol's minimum."""
+    n_min = PROTOCOLS[config.protocol].min_n(config)
+    if n_total < n_min:
+        raise ConfigError(
+            f"sample size {n_total} is below {n_min}, the fewest copies from "
+            f"which protocol {config.protocol!r} yields an estimate on dims "
+            f"{list(config.dims)}")
 
 
 def resolve_method(config: CampaignConfig, n_total: int,
@@ -300,6 +304,7 @@ def run_experiment(config: CampaignConfig, n_total: int,
     seed_int, state_rng, proto_rng, sample_rng = _run_seed(
         config, n_total, run_index)
     try:
+        check_min_n(config, n_total)
         rho = generate_state(config.test, config.dims, state_rng)
         t0 = time.perf_counter()
         handler, estimator = resolve_method(config, n_total, proto_rng)
@@ -313,13 +318,10 @@ def run_experiment(config: CampaignConfig, n_total: int,
             t_protocol += time.perf_counter() - t0
             if spec is None:
                 break
-            shots = min(spec.shots, n_total - measured)
-            if shots != spec.shots:
-                spec = replace(spec, shots=shots)
             probs = born_probabilities(rho, spec.povm)
-            counts = sample_counts(probs, shots, sample_rng)
+            counts = sample_counts(probs, spec.shots, sample_rng)
             records.append(MeasurementRecord(spec, counts))
-            measured += shots
+            measured += spec.shots
 
         t0 = time.perf_counter()
         report = estimator(records)

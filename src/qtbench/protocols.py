@@ -163,16 +163,32 @@ def _pauli_specs(n):
                           for w in words], (2,) * n)
 
 
-class StaticHandler:
+class QueuedHandler:
+    """Every handler's shape: ``next`` pops queued settings and refills the
+    queue from ``_step`` when it runs dry; an empty step ends the protocol.
+    No step may overrun the run's budget: the engine does not trim."""
+
+    def __init__(self, queue=()):
+        self._queue = iter(queue)
+
+    def next(self, measured: int, records) -> MeasurementSpec | None:
+        spec = next(self._queue, None)
+        if spec is None:
+            self._queue = iter(self._step(measured, records))
+            spec = next(self._queue, None)
+        return spec
+
+    def _step(self, measured: int, records) -> list[MeasurementSpec]:
+        return []
+
+
+class StaticHandler(QueuedHandler):
     """Serves a static protocol's settings in order, with a run's sample
     budget spread evenly over them."""
 
     def __init__(self, specs: tuple[MeasurementSpec, ...], n_total: int):
         shots = allocate_shots(n_total, len(specs))
-        self._specs = iter([replace(s, shots=k) for s, k in zip(specs, shots)])
-
-    def next(self, measured: int, records) -> MeasurementSpec | None:
-        return next(self._specs, None)
+        super().__init__([replace(s, shots=k) for s, k in zip(specs, shots)])
 
 
 # --- adaptive protocols ------------------------------------------------------
@@ -194,28 +210,25 @@ def fo_min_budget(dims) -> int:
     return measured + 1
 
 
-class _QueuedAdaptiveHandler:
+class _AdaptiveHandler(QueuedHandler):
     """Common machinery: once per adaptive step, spread the step's shots
     evenly over the bases a subclass chooses (over the first ones only when
-    the step has fewer shots than bases) and queue the settings."""
+    the step has fewer shots than bases)."""
 
     def __init__(self, dims, estimator, budget):
+        super().__init__()
         self.dims = tuple(int(x) for x in dims)
         self.estimator = estimator
         self.budget = budget
-        self._queue: list[MeasurementSpec] = []
 
-    def next(self, measured: int, records) -> MeasurementSpec | None:
-        if not self._queue:
-            step = _adaptive_step_total(measured, self.budget)
-            if step < 1:
-                return None
-            bases = self._bases(records)
-            shots = allocate_shots(step, min(len(bases), step))
-            self._queue = [MeasurementSpec(basis_povm(u), shots=k,
-                                           dims=self.dims)
-                           for u, k in zip(bases, shots)]
-        return self._queue.pop(0)
+    def _step(self, measured, records):
+        step = _adaptive_step_total(measured, self.budget)
+        if step < 1:
+            return []
+        bases = self._bases(records)
+        shots = allocate_shots(step, min(len(bases), step))
+        return [MeasurementSpec(basis_povm(u), shots=k, dims=self.dims)
+                for u, k in zip(bases, shots)]
 
     def _estimate(self, records) -> np.ndarray | None:
         # early adaptive steps may not determine a state yet; fall back to
@@ -232,7 +245,7 @@ class _QueuedAdaptiveHandler:
         raise NotImplementedError
 
 
-class AmubHandler(_QueuedAdaptiveHandler):
+class AmubHandler(_AdaptiveHandler):
     """Adaptive MUB: rotate the canonical MUBs so that the first basis
     diagonalizes the current state estimate."""
 
@@ -310,7 +323,7 @@ def complete_local_basis(phi: np.ndarray, rng: np.random.Generator) -> np.ndarra
     return np.column_stack(cols)
 
 
-class FoHandler(_QueuedAdaptiveHandler):
+class FoHandler(_AdaptiveHandler):
     """Factorized-orthogonal protocol: each step measures one random product
     basis containing a vector orthogonal to K principal components of the
     current estimate (K drawn uniformly from 1..K_max)."""

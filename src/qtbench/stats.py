@@ -4,7 +4,7 @@ medcouple-adjusted outlier analysis."""
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -275,20 +275,7 @@ REPORT_COLUMNS = ("method", "N_B", "M95", "TP95_s", "TE95_s", "eta",
 
 
 def report_rows(reports) -> list[dict]:
-    rows = []
-    for rep in reports:
-        rows.append({
-            "method": rep.method,
-            "N_B": rep.n_b,
-            "M95": rep.m95,
-            "TP95_s": rep.tp95_s,
-            "TE95_s": rep.te95_s,
-            "eta": rep.eta,
-            "outlier_ratio": rep.outlier_ratio,
-            "factorized": rep.factorized,
-            "extrapolated": rep.extrapolated,
-        })
-    return rows
+    return [dict(zip(REPORT_COLUMNS, astuple(rep))) for rep in reports]
 
 
 def write_report_csv(reports, path):

@@ -192,17 +192,28 @@ class TestRoundTripMatrix:
         assert rep in (0, 2)  # tiny grids may not cross the target
 
 
-class TestSgqtConfigKeys:
-    def test_shots_override_changes_pair_size(self, tmp_path):
-        manifest = tmp_path / "sgqt.cfg"
+class TestConfigKeys:
+    @pytest.mark.parametrize("line", ["sgqt.shots=250", "run=3"])
+    def test_unknown_key_exits_2_without_output(self, tmp_path, capsys, line):
+        manifest = tmp_path / "campaign.cfg"
         manifest.write_text("dims=2\ntest=rps\nmethod=sgqt\ngrid=1000,2000\n"
-                            "runs=3\nseed=1\nsgqt.shots=250\nsgqt.a=2.5\n")
+                            f"seed=1\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(manifest),
+                     "--out", str(out)]) == 2
+        assert f"{manifest}:6: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_known_keys_configure_the_campaign(self, tmp_path):
+        manifest = tmp_path / "campaign.cfg"
+        manifest.write_text("# a comment\ndims=2\ntest=rps\nmethod=sgqt\n"
+                            "fb=0.99\ngrid=200,400\nruns=3\nseed=1\n")
         assert main(["analyze", "--config", str(manifest),
                      "--out", str(tmp_path)]) == 0
         rows = [json.loads(line) for line in
                 (tmp_path / "raw_rps_sgqt.jsonl").read_text().splitlines()]
-        # 1000-copy budget holds two 2x250-shot evaluation pairs
-        assert all(r["M"] == 4 for r in rows if r["N"] == 1000)
+        assert [(r["N"], r["run"]) for r in rows] == \
+            [(n, run) for n in (200, 400) for run in range(3)]
 
 
 class TestWorkersFromEnvironment:

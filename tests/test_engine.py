@@ -25,7 +25,7 @@ from qtbench.engine import (
 from qtbench.estimators import MeasurementRecord
 from qtbench.protocols import AmubHandler, FoHandler, FomubHandler, StaticHandler
 from qtbench.qcore import DensityMatrix
-from qtbench.sgqt import SgqtHandler
+from qtbench.sgqt import SGQT_SHOTS, SgqtHandler
 from qtbench.states import TestKind, gen_rps
 
 
@@ -141,6 +141,19 @@ class TestMethodValidation:
         config = make_config(n_grid=(n_min,), **kw)
         res = run_experiment(config, n_min, 0)
         assert not res.failed, res.error
+        res = run_experiment(config, n_min - 1, 0)
+        assert res.failed and res.error.startswith("ConfigError: ")
+
+    @pytest.mark.parametrize("protocol,estimator,dims,n_total", [
+        ("sgqt", None, (2,), 150), ("fmub", "ppi", (2, 2), 8)])
+    def test_off_grid_sample_size_below_minimum_fails(
+            self, protocol, estimator, dims, n_total):
+        config = make_config(protocol=protocol, estimator=estimator,
+                             dims=dims, n_grid=(1000,))
+        res = run_experiment(config, n_total, 0)
+        assert res.failed and res.bases_count == 0
+        assert res.error.startswith(f"ConfigError: sample size {n_total} "
+                                    f"is below")
 
 
 class TestRunExperiment:
@@ -204,13 +217,10 @@ class TestBudgetConservation:
             spec = handler.next(measured, records)
             if spec is None:
                 break
-            shots = min(spec.shots, n_total - measured)
-            if shots != spec.shots:
-                from dataclasses import replace
-                spec = replace(spec, shots=shots)
             probs = born_probabilities(rho, spec.povm)
-            records.append(MeasurementRecord(spec, sample_counts(probs, shots, sample_rng)))
-            measured += shots
+            records.append(MeasurementRecord(
+                spec, sample_counts(probs, spec.shots, sample_rng)))
+            measured += spec.shots
         return records, measured
 
     @pytest.mark.parametrize("protocol,estimator", [
@@ -224,6 +234,22 @@ class TestBudgetConservation:
         assert sum(r.spec.shots for r in records) == 1037
         assert all(float(r.counts.sum()) == r.spec.shots for r in records)
 
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_every_protocol_stays_within_its_budget(self, protocol):
+        # the engine spends each setting's shots as issued, so every handler
+        # must stop at its budget on its own: sgqt at whole pairs
+        row = PROTOCOLS[protocol]
+        estimator = "ppi" if row.takes_estimator else None
+        n_min = row.min_n(make_config(protocol=protocol, estimator=estimator,
+                                      n_grid=(10**6,)))
+        config = make_config(protocol=protocol, estimator=estimator,
+                             n_grid=(n_min, 1234))
+        pair = 2 * SGQT_SHOTS
+        for n_total in config.n_grid:
+            records, measured = self.drive(config, n_total)
+            expected = n_total // pair * pair if protocol == "sgqt" else n_total
+            assert sum(r.spec.shots for r in records) == measured == expected
+
     def test_sgqt_discards_partial_pair(self):
         config = make_config(protocol="sgqt", estimator=None,
                              n_grid=(1037,))
@@ -236,6 +262,15 @@ class TestBudgetConservation:
         records, _ = self.drive(config, 500)
         for rec in records:
             assert np.all(rec.counts == np.round(rec.counts))
+
+    @pytest.mark.parametrize("pairs", [1, 5, 50])
+    def test_sgqt_uses_its_last_pair(self, pairs):
+        n_total = 2 * pairs * SGQT_SHOTS
+        config = make_config(protocol="sgqt", estimator=None,
+                             n_grid=(n_total,))
+        res = run_experiment(config, n_total, 0)
+        assert res.bases_count == 2 * pairs
+        assert res.iterations == pairs
 
     def test_sgqt_through_engine(self):
         config = make_config(protocol="sgqt", estimator=None, n_grid=(2000,))
