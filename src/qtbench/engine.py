@@ -3,7 +3,9 @@ multinomial sampling, handler orchestration and timing.
 
 Each run is a pure function of (config, N, run index): the RNG streams are
 derived from a counter-based seed so results do not depend on execution order
-or worker count. The true state is visible only to born_probabilities; the
+or worker count. A run takes its protocol one step at a time and samples each
+step's settings with one Born-rule and one multinomial call into the run's
+RecordStack. The true state is visible only to born_probabilities; the
 protocol and estimator handlers receive nothing but copy counts and past
 measurement records.
 """
@@ -19,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .estimators import MeasurementRecord, arml, frls, frml, ppi, trml
+from .estimators import RecordStack, arml, frls, frml, ppi, trml
 from .mub import SUPPORTED_MUB_DIMS
 from .protocols import (
     AmubHandler,
@@ -266,16 +268,26 @@ def resolve_method(config: CampaignConfig, n_total: int,
 def born_probabilities(rho: DensityMatrix, povm: Povm) -> np.ndarray:
     """Outcome probabilities Tr(rho P_k), roundoff negatives clamped and the
     vector renormalized to unit sum."""
-    if rho.d != povm.d:
-        raise ValueError(f"dimension mismatch: state {rho.d}, POVM {povm.d}")
-    p = np.real(np.einsum("kij,ji->k", povm.elements, rho.mat))
-    if p.min() < -1e-12:
-        raise ValueError(f"negative Born probability {p.min():.3e}")
+    return _born(rho, povm.elements, 1)[0]
+
+
+def _born(rho: DensityMatrix, elements: np.ndarray, settings: int):
+    """born_probabilities of settings with equal outcome counts whose
+    elements are stacked, (settings, outcomes), from one einsum; the first
+    setting that fails a check raises its error."""
+    if rho.d != elements.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: state {rho.d}, POVM {elements.shape[1]}")
+    p = np.real(np.einsum("kij,ji->k", elements, rho.mat)).reshape(settings, -1)
+    low = p.min(axis=1)
     p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if abs(total - 1.0) > 1e-8:
-        raise ValueError(f"Born probabilities sum to {total}, not 1")
-    return p / total
+    total = p.sum(axis=1)
+    for setting_low, setting_total in zip(low, total):
+        if setting_low < -1e-12:
+            raise ValueError(f"negative Born probability {setting_low:.3e}")
+        if abs(setting_total - 1.0) > 1e-8:
+            raise ValueError(f"Born probabilities sum to {setting_total}, not 1")
+    return p / total[:, None]
 
 
 def sample_counts(probs: np.ndarray, shots: int,
@@ -310,18 +322,21 @@ def run_experiment(config: CampaignConfig, n_total: int,
         handler, estimator = resolve_method(config, n_total, proto_rng)
         t_protocol = time.perf_counter() - t0
 
-        records: list[MeasurementRecord] = []
+        records = RecordStack()
         measured = 0
         while measured < n_total:
             t0 = time.perf_counter()
-            spec = handler.next(measured, records)
+            step = handler.step(measured, records)
             t_protocol += time.perf_counter() - t0
-            if spec is None:
+            if step is None:
                 break
-            probs = born_probabilities(rho, spec.povm)
-            counts = sample_counts(probs, spec.shots, sample_rng)
-            records.append(MeasurementRecord(spec, counts))
-            measured += spec.shots
+            # bit for bit what born_probabilities and sample_counts return
+            # setting by setting from the same rng state
+            settings, shots = step
+            probs = _born(rho, settings.elements, len(settings))
+            records.append(settings, sample_rng.multinomial(shots, probs),
+                           shots)
+            measured += sum(shots)
 
         t0 = time.perf_counter()
         report = estimator(records)

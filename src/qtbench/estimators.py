@@ -1,6 +1,7 @@
 """Density-matrix estimators working from measurement records.
 
-All estimators consume a list of MeasurementRecord and return an
+All estimators consume a run's records as one RecordStack of stacked arrays
+(a list of MeasurementRecord is stacked once on entry) and return an
 EstimatorReport whose estimate is a valid density matrix. The reconstruction
 strategies: pseudo-inversion with spectrum projection (ppi), projected
 gradient least squares (frls), likelihood maximization over rank-r root
@@ -9,11 +10,13 @@ rank d, anchored at the pseudo-inversion point), and rank selection by
 chi-squared adequacy (arml).
 """
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .protocols import IncompleteRecordsError, MeasurementSpec
+from .protocols import IncompleteRecordsError, MeasurementSpec, SettingStack
 from .qcore import DensityMatrix, eig_hermitian, hermitize, project_to_simplex
 from .stats import chi2_sf, nu
 
@@ -43,12 +46,78 @@ class MeasurementRecord:
         self.counts = np.asarray(self.counts, dtype=float)
         if self.counts.ndim != 1 or self.counts.size != self.spec.povm.n_outcomes:
             raise ValueError("counts length must match the POVM outcome count")
-        if np.any(self.counts < 0):
-            raise ValueError("counts must be nonnegative")
-        total = float(self.counts.sum())
-        if abs(total - self.spec.shots) > 1e-6 * max(1.0, self.spec.shots):
-            raise ValueError(
-                f"counts sum {total} does not match shots {self.spec.shots}")
+        _check_counts(self.counts, self.spec.shots)
+
+
+def _check_counts(counts: np.ndarray, shots):
+    """Counts, a setting's on the last axis, are nonnegative and sum to its
+    shots."""
+    if np.any(counts < 0):
+        raise ValueError("counts must be nonnegative")
+    for total, k in zip(np.ravel(counts.sum(axis=-1)), np.ravel(shots)):
+        if abs(total - k) > 1e-6 * max(1.0, k):
+            raise ValueError(f"counts sum {total} does not match shots {k}")
+
+
+class RecordStack:
+    """A run's records stacked setting after setting: ``elements`` (K, d, d),
+    the outcomes' POVM elements; ``counts`` and ``shots`` (K,), floats, a
+    setting's shots repeated on each of its outcomes; ``offsets``, setting i
+    owning outcomes offsets[i] to offsets[i + 1]."""
+
+    def __init__(self):
+        self.dims, self.offsets = None, [0]
+
+    @classmethod
+    def of(cls, records) -> "RecordStack":
+        """records if a RecordStack, else a list of MeasurementRecord
+        stacked; either must hold a setting."""
+        if not isinstance(records, cls):
+            records, stack = list(records), cls()
+            if any(r.spec.povm.d != records[0].spec.povm.d for r in records):
+                raise ValueError(
+                    "records mix different Hilbert-space dimensions")
+            if records:
+                sizes = [r.spec.povm.n_outcomes for r in records]
+                stack.dims = records[0].spec.dims
+                stack.offsets += itertools.accumulate(sizes)
+                stack.elements = np.concatenate(
+                    [r.spec.povm.elements for r in records])
+                stack.counts = np.concatenate([r.counts for r in records])
+                stack.shots = np.repeat([float(r.spec.shots) for r in records],
+                                        sizes)
+            records = stack
+        if not len(records):
+            raise ValueError("no measurement records")
+        return records
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def d(self) -> int:
+        return self.elements.shape[1]
+
+    @cached_property
+    def design(self) -> np.ndarray:
+        """ppi's design matrix, computed once per content."""
+        return _real_design(self.elements)
+
+    def append(self, settings: SettingStack, counts, shots):
+        """Add a step's settings, counts (settings, outcomes) and shots."""
+        counts = np.asarray(counts, dtype=float)
+        _check_counts(counts, shots)
+        start, outcomes = self.offsets[-1], counts.shape[1]
+        self.offsets += range(start + outcomes, start + counts.size + 1,
+                              outcomes)
+        new = (settings.elements, counts.ravel(),
+               np.repeat(np.asarray(shots, dtype=float), outcomes))
+        if start:
+            new = [np.concatenate(pair) for pair in
+                   zip((self.elements, self.counts, self.shots), new)]
+        self.dims = settings[0].dims
+        self.elements, self.counts, self.shots = new
+        self.__dict__.pop("design", None)
 
 
 @dataclass(eq=False)
@@ -60,20 +129,6 @@ class EstimatorReport:
     pvalues: list[float] | None = None
 
 
-def _stack(records):
-    if not records:
-        raise ValueError("no measurement records")
-    d = records[0].spec.povm.d
-    for r in records:
-        if r.spec.povm.d != d:
-            raise ValueError("records mix different Hilbert-space dimensions")
-    povm = np.concatenate([r.spec.povm.elements for r in records], axis=0)
-    counts = np.concatenate([r.counts for r in records])
-    shots = np.concatenate([np.full(r.spec.povm.n_outcomes, float(r.spec.shots))
-                            for r in records])
-    return povm, counts, shots
-
-
 def _probs(povm: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("kij,ji->k", povm, rho))
 
@@ -83,8 +138,9 @@ def log_likelihood(rho: DensityMatrix, records) -> float:
 
     A strictly positive count on an exactly-zero probability yields -inf.
     """
-    povm, counts, _ = _stack(records)
-    p = np.clip(_probs(povm, rho.mat), 0.0, None)
+    records = RecordStack.of(records)
+    counts = records.counts
+    p = np.clip(_probs(records.elements, rho.mat), 0.0, None)
     mask = counts > 0
     if np.any(p[mask] == 0.0):
         return -np.inf
@@ -93,11 +149,14 @@ def log_likelihood(rho: DensityMatrix, records) -> float:
 
 # --- pseudo-inversion --------------------------------------------------------
 
+_triu = lru_cache(maxsize=None)(np.triu_indices)
+
+
 def _real_design(povm: np.ndarray) -> np.ndarray:
     """Design matrix of the map (Hermitian X) -> Tr(X P_k) in the real
     parametrization (diagonal, 2 Re upper, 2 Im upper)."""
     d = povm.shape[1]
-    iu = np.triu_indices(d, 1)
+    iu = _triu(d, 1)
     diag = povm[:, np.arange(d), np.arange(d)].real
     re = 2.0 * povm[:, iu[0], iu[1]].real
     im = 2.0 * povm[:, iu[0], iu[1]].imag
@@ -105,7 +164,7 @@ def _real_design(povm: np.ndarray) -> np.ndarray:
 
 
 def _unpack_hermitian(theta: np.ndarray, d: int) -> np.ndarray:
-    iu = np.triu_indices(d, 1)
+    iu = _triu(d, 1)
     n_off = iu[0].size
     x = np.zeros((d, d), dtype=complex)
     x[np.arange(d), np.arange(d)] = theta[:d]
@@ -119,12 +178,12 @@ def ppi(records) -> EstimatorReport:
     """Projected pseudo-inversion: least-squares solve of the observed
     frequencies for a Hermitian matrix, then projection of its spectrum onto
     the probability simplex (eigenvectors kept)."""
-    povm, counts, shots = _stack(records)
-    d = povm.shape[1]
-    freqs = counts / shots
+    records = RecordStack.of(records)
+    d = records.d
+    freqs = records.counts / records.shots
     # lstsq counts singular values above max(M, N) eps sigma_max, the
     # threshold of matrix_rank
-    theta, _, rank, _ = np.linalg.lstsq(_real_design(povm), freqs, rcond=None)
+    theta, _, rank, _ = np.linalg.lstsq(records.design, freqs, rcond=None)
     if rank < d * d:
         raise IncompleteRecordsError(
             f"measurement records are informationally incomplete: design rank "
@@ -134,7 +193,7 @@ def ppi(records) -> EstimatorReport:
     lam = project_to_simplex(w)
     est = hermitize((v * lam) @ v.conj().T)
     return EstimatorReport(
-        estimate=DensityMatrix(records[0].spec.dims, est),
+        estimate=DensityMatrix(records.dims, est),
         rank_used=d, iterations=0, converged=True)
 
 
@@ -152,8 +211,9 @@ def frls(records) -> EstimatorReport:
     """Least squares over density matrices: minimize the shot-weighted squared
     gap between observed and model frequencies by projected gradient descent,
     started from the pseudo-inversion estimate."""
-    povm, counts, shots = _stack(records)
-    d = povm.shape[1]
+    records = RecordStack.of(records)
+    povm, counts, shots = records.elements, records.counts, records.shots
+    d = records.d
     freqs = counts / shots
     weights = shots / shots.sum()
     rho = ppi(records).estimate.mat
@@ -185,7 +245,7 @@ def frls(records) -> EstimatorReport:
             converged = True
             break
     return EstimatorReport(
-        estimate=DensityMatrix(records[0].spec.dims, rho),
+        estimate=DensityMatrix(records.dims, rho),
         rank_used=d, iterations=it, converged=converged)
 
 
@@ -203,8 +263,8 @@ def _likelihood_operator(povm, freq, p):
 def frml(records) -> EstimatorReport:
     """Full-rank maximum likelihood: the rank-d fit of trml, anchored at the
     pseudo-inversion point."""
-    d = records[0].spec.povm.d if records else 0   # no records: trml raises
-    return trml(records, d)
+    records = RecordStack.of(records)
+    return trml(records, records.d)
 
 
 def _real(z: np.ndarray) -> np.ndarray:
@@ -286,8 +346,8 @@ def trml(records, r: int) -> EstimatorReport:
     ppi cannot lose to roundoff); on one-qubit MUB data it is often the exact
     ML point. It is then judged converged by R rho = rho.
     """
-    povm, counts, _ = _stack(records)
-    d = povm.shape[1]
+    records = RecordStack.of(records)
+    povm, counts, d = records.elements, records.counts, records.d
     if not 1 <= r <= d:
         raise ValueError(f"rank must lie in 1..{d}")
     freq = counts / counts.sum()
@@ -358,7 +418,7 @@ def trml(records, r: int) -> EstimatorReport:
         alpha = min(alpha * 2.0, 1e3)
     est = hermitize(c @ c.conj().T)
     est /= np.real(np.trace(est))
-    fit = DensityMatrix(records[0].spec.dims, est)
+    fit = DensityMatrix(records.dims, est)
     if r == d and (log_likelihood(anchor, records)
                    >= log_likelihood(fit, records)):
         fit, rho = anchor, anchor.mat
@@ -378,13 +438,14 @@ def chi2_statistic(records, rho_fit: DensityMatrix, r: int) -> tuple[float, int]
     count is structurally zero and were never observed are merged into the
     setting's largest-expected outcome before the statistic is formed.
     """
-    d = rho_fit.d
+    records = RecordStack.of(records)
     stat = 0.0
-    dof = -nu(d, r)
-    for rec in records:
-        p = np.clip(_probs(rec.spec.povm.elements, rho_fit.mat), 0.0, None)
-        expected = p * rec.spec.shots
-        observed = rec.counts.copy()
+    dof = -nu(rho_fit.d, r)
+    p = np.clip(_probs(records.elements, rho_fit.mat), 0.0, None)
+    counts, shots = records.counts, records.shots
+    for start, end in itertools.pairwise(records.offsets):
+        expected = p[start:end] * shots[start]
+        observed = counts[start:end].copy()
         # merge structurally impossible outcomes that were indeed never seen;
         # an observed count on a near-zero expectation is divergent evidence
         # against the model and must keep its (floored) contribution
@@ -413,8 +474,8 @@ def arml(records) -> EstimatorReport:
     """Adequate-rank maximum likelihood: fit ranks r = 1..d in sequence and
     stop at the first adequate one (p-value >= ARML_ALPHA), or one step
     after the p-value starts decreasing."""
-    povm, _, _ = _stack(records)
-    d = povm.shape[1]
+    records = RecordStack.of(records)
+    d = records.d
     pvalues: list[float] = []
     reports: list[EstimatorReport] = []
     chosen = None

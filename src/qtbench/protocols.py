@@ -1,11 +1,13 @@
 """Measurement protocols: static MUB/FMUB/Pauli builders and the adaptive
 AMUB/FO/FOMUB handlers.
 
-A protocol is consumed by the experiment engine through a single handler
-interface: ``handler.next(measured, records)`` returns the next
-MeasurementSpec (or None when the protocol is exhausted). Handlers never see
-the true state; adaptive ones work from the accumulated measurement records
-via the estimator they were given.
+A protocol is consumed through a single handler interface:
+``handler.step(measured, records)`` returns the next settings to measure
+together (or None when the protocol is exhausted), which the experiment
+engine samples at once; ``handler.next`` serves the same settings one
+MeasurementSpec at a time. Handlers never see the true state; adaptive ones
+work from the accumulated measurement records via the estimator they were
+given.
 """
 
 import itertools
@@ -16,7 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from .mub import mub_bases
-from .qcore import POVM_SUM_TOL, PSD_EIG_FLOOR, eig_hermitian, haar_vector
+from .qcore import (POVM_SUM_TOL, PSD_EIG_FLOOR, eig_hermitian, haar_vector,
+                    identity)
 
 ADAPTIVE_MIN_STEP = 100   # shots per adaptive step: max(100, floor(N_t / 30))
 ADAPTIVE_STEP_DIV = 30
@@ -49,7 +52,7 @@ class Povm:
             raise ValueError("POVM elements must be a stack of square matrices")
         total = self.elements.sum(axis=0)
         d = total.shape[0]
-        if np.max(np.abs(total - np.eye(d))) > POVM_SUM_TOL:
+        if np.max(np.abs(total - identity(d))) > POVM_SUM_TOL:
             raise ValueError("POVM elements do not sum to the identity")
         herm = (self.elements + self.elements.conj().transpose(0, 2, 1)) / 2
         if np.linalg.eigvalsh(herm)[:, 0].min() < PSD_EIG_FLOOR:
@@ -82,6 +85,19 @@ class MeasurementSpec:
             raise ValueError("shots must be >= 1")
 
 
+class SettingStack(tuple):
+    """The specs of one step, all with one outcome count (the step's shots
+    override theirs), and ``elements``, their POVM elements stacked setting
+    after setting (K, d, d)."""
+
+    def __new__(cls, specs):
+        self = super().__new__(cls, specs)
+        if len({s.povm.n_outcomes for s in self}) != 1:
+            raise ValueError("a step's settings must share one outcome count")
+        self.elements = np.concatenate([s.povm.elements for s in self])
+        return self
+
+
 def basis_povm(u: np.ndarray) -> Povm:
     """POVM of rank-1 projectors onto the columns of a unitary."""
     return Povm(np.einsum("ik,jk->kij", u, u.conj()))
@@ -101,17 +117,18 @@ def allocate_shots(n: int, m: int) -> list[int]:
 # --- static protocols --------------------------------------------------------
 #
 # A static protocol's settings depend on its dimensions alone, so each is
-# built and validated once per process and shared by every run: the specs
-# are frozen and their element stacks read-only, and a run spreads its budget
-# over them with replace(spec, shots=k), which shares the POVM.
+# built and validated once per process, as one SettingStack, and shared by
+# every run: the specs are frozen and every array read-only. A run only adds
+# its shots.
 
-def _shared_specs(povms, dims) -> tuple[MeasurementSpec, ...]:
-    for povm in povms:
-        povm.elements.setflags(write=False)
-    return tuple(MeasurementSpec(povm, dims=dims) for povm in povms)
+def _shared_specs(povms, dims) -> SettingStack:
+    stack = SettingStack(MeasurementSpec(povm, dims=dims) for povm in povms)
+    for array in (stack.elements, *(p.elements for p in povms)):
+        array.setflags(write=False)
+    return stack
 
 
-def mub_protocol(dims) -> tuple[MeasurementSpec, ...]:
+def mub_protocol(dims) -> SettingStack:
     """Measurements in all d+1 mutually unbiased bases of the full space."""
     return _mub_specs(tuple(int(x) for x in dims))
 
@@ -134,7 +151,7 @@ def _tensor_products(local_ops) -> list[np.ndarray]:
     return out
 
 
-def fmub_protocol(dims) -> tuple[MeasurementSpec, ...]:
+def fmub_protocol(dims) -> SettingStack:
     """Factorized MUB measurements: every subsystem measured independently in
     its own MUBs, prod_j (d_j + 1) settings in total."""
     return _fmub_specs(tuple(int(x) for x in dims))
@@ -146,7 +163,7 @@ def _fmub_specs(dims):
         [mub_bases(dj) for dj in dims])], dims)
 
 
-def pauli_protocol(n: int) -> tuple[MeasurementSpec, ...]:
+def pauli_protocol(n: int) -> SettingStack:
     """All 4^n - 1 nontrivial Pauli-word observables on n qubits, each encoded
     as its two-outcome eigenprojector POVM (eigenvalues +1 and -1)."""
     if n < 1:
@@ -164,31 +181,35 @@ def _pauli_specs(n):
 
 
 class QueuedHandler:
-    """Every handler's shape: ``next`` pops queued settings and refills the
-    queue from ``_step`` when it runs dry; an empty step ends the protocol.
-    No step may overrun the run's budget: the engine does not trim."""
+    """Every handler's shape: ``step`` returns the next settings to measure
+    together and their shots, ``(SettingStack, shots)``, or None at the end.
+    ``next`` pops a step's specs one at a time, each with its shots, and
+    refills from ``step`` when it runs dry. No step may overrun the run's
+    budget: the engine does not trim."""
 
-    def __init__(self, queue=()):
-        self._queue = iter(queue)
+    _queue = iter(())   # exhausted, so the first next() asks step
 
     def next(self, measured: int, records) -> MeasurementSpec | None:
         spec = next(self._queue, None)
         if spec is None:
-            self._queue = iter(self._step(measured, records))
-            spec = next(self._queue, None)
+            step = self.step(measured, records)
+            if step is None:
+                return None
+            self._queue = (replace(s, shots=k) for s, k in zip(*step))
+            spec = next(self._queue)
         return spec
-
-    def _step(self, measured: int, records) -> list[MeasurementSpec]:
-        return []
 
 
 class StaticHandler(QueuedHandler):
-    """Serves a static protocol's settings in order, with a run's sample
+    """Issues a static protocol's settings as one step, with a run's sample
     budget spread evenly over them."""
 
-    def __init__(self, specs: tuple[MeasurementSpec, ...], n_total: int):
-        shots = allocate_shots(n_total, len(specs))
-        super().__init__([replace(s, shots=k) for s, k in zip(specs, shots)])
+    def __init__(self, settings: SettingStack, n_total: int):
+        self._step = settings, allocate_shots(n_total, len(settings))
+
+    def step(self, measured, records):
+        step, self._step = self._step, None
+        return step
 
 
 # --- adaptive protocols ------------------------------------------------------
@@ -216,19 +237,18 @@ class _AdaptiveHandler(QueuedHandler):
     the step has fewer shots than bases)."""
 
     def __init__(self, dims, estimator, budget):
-        super().__init__()
         self.dims = tuple(int(x) for x in dims)
         self.estimator = estimator
         self.budget = budget
 
-    def _step(self, measured, records):
+    def step(self, measured, records):
         step = _adaptive_step_total(measured, self.budget)
         if step < 1:
-            return []
+            return None
         bases = self._bases(records)
         shots = allocate_shots(step, min(len(bases), step))
-        return [MeasurementSpec(basis_povm(u), shots=k, dims=self.dims)
-                for u, k in zip(bases, shots)]
+        return SettingStack(MeasurementSpec(basis_povm(u), dims=self.dims)
+                            for u in bases[:len(shots)]), shots
 
     def _estimate(self, records) -> np.ndarray | None:
         # early adaptive steps may not determine a state yet; fall back to

@@ -1,6 +1,7 @@
 """Complex linear algebra and quantum-state primitives shared across the package."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,6 +73,14 @@ class PureState:
 
     def to_density(self) -> DensityMatrix:
         return DensityMatrix(self.dims, np.outer(self.vec, self.vec.conj()))
+
+
+@lru_cache(maxsize=None)
+def identity(d: int) -> np.ndarray:
+    """The real d x d identity, built once per d and read-only."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

@@ -11,9 +11,9 @@ SGQT_A)^SGQT_s and perturbation sizes beta_k = SGQT_b / (k + 1)^SGQT_t.
 
 import numpy as np
 
-from .protocols import MeasurementSpec, Povm, QueuedHandler
-from .qcore import DensityMatrix, haar_vector
-from .estimators import EstimatorReport
+from .protocols import MeasurementSpec, Povm, QueuedHandler, SettingStack
+from .qcore import DensityMatrix, haar_vector, identity
+from .estimators import EstimatorReport, RecordStack
 
 SGQT_A = 0.0
 SGQT_a = 3.0
@@ -38,7 +38,6 @@ class SgqtHandler(QueuedHandler):
     evaluation pair are discarded."""
 
     def __init__(self, dims, budget: int, rng: np.random.Generator):
-        super().__init__()
         self.dims = tuple(int(x) for x in dims)
         self.d = int(np.prod(self.dims))
         self.rng = rng
@@ -46,15 +45,17 @@ class SgqtHandler(QueuedHandler):
         self.psi = _fix_phase(haar_vector(self.d, rng).vec)
         self.k = 1
 
-    def _step(self, measured, records):
+    def step(self, measured, records):
         self._update(records)
         if self.k > self.iterations:
-            return []
+            return None
         self._delta = self.rng.integers(0, 2, size=2 * self.d) * 2.0 - 1.0
         beta = SGQT_b / (self.k + 1) ** SGQT_t
         theta = np.concatenate([self.psi.real, self.psi.imag])
-        return [self._projector_spec(self._to_state(theta + beta * self._delta)),
-                self._projector_spec(self._to_state(theta - beta * self._delta))]
+        return SettingStack([
+            self._projector_spec(self._to_state(theta + beta * self._delta)),
+            self._projector_spec(self._to_state(theta - beta * self._delta))]
+        ), (SGQT_SHOTS, SGQT_SHOTS)
 
     def estimate(self, records=()) -> EstimatorReport:
         self._update(records)
@@ -68,14 +69,16 @@ class SgqtHandler(QueuedHandler):
 
     def _projector_spec(self, psi: np.ndarray) -> MeasurementSpec:
         proj = np.outer(psi, psi.conj())
-        povm = Povm(np.stack([proj, np.eye(self.d) - proj]))
-        return MeasurementSpec(povm, shots=SGQT_SHOTS, dims=self.dims)
+        povm = Povm(np.stack([proj, identity(self.d) - proj]))
+        return MeasurementSpec(povm, dims=self.dims)
 
     def _update(self, records):
         if len(records) // 2 < self.k:   # pair k is not measured yet
             return
-        f_plus, f_minus = (float(rec.counts[0]) / rec.spec.shots
-                           for rec in records[-2:])
+        records = RecordStack.of(records)
+        # the first outcome of each of the last two settings
+        f_plus, f_minus = (records.counts[i] / records.shots[i]
+                           for i in records.offsets[-3:-1])
         beta = SGQT_b / (self.k + 1) ** SGQT_t
         alpha = SGQT_a / (self.k + 1 + SGQT_A) ** SGQT_s
         grad = (f_plus - f_minus) / (2.0 * beta) * self._delta

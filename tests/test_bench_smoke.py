@@ -29,3 +29,9 @@ def test_traced_adaptive_workload_is_correct():
 def test_traced_static_workload_is_correct():
     # static runs go through resolve_method and read the shared settings
     run_traced("static-2q")
+
+
+def test_traced_analyze_workload_is_correct():
+    # re-runs fmub+ppi and sgqt rows of the two-worker raw files through the
+    # per-setting path of public calls and compares them
+    run_traced("analyze-report-2w")

@@ -22,7 +22,7 @@ from qtbench.engine import (
     sample_counts,
     validate_method,
 )
-from qtbench.estimators import MeasurementRecord
+from qtbench.estimators import MeasurementRecord, RecordStack
 from qtbench.protocols import AmubHandler, FoHandler, FomubHandler, StaticHandler
 from qtbench.qcore import DensityMatrix
 from qtbench.sgqt import SGQT_SHOTS, SgqtHandler
@@ -282,11 +282,13 @@ class TestBudgetConservation:
 
 class TestHandlerIsolation:
     def test_handler_interface_carries_no_state(self):
-        # every handler's next() takes only the copy count and records
+        # every handler's step() and next() take only the copy count and
+        # records
         for cls in (StaticHandler, AmubHandler, FoHandler, FomubHandler,
                     SgqtHandler):
-            params = list(inspect.signature(cls.next).parameters)
-            assert params == ["self", "measured", "records"]
+            for method in (cls.step, cls.next):
+                params = list(inspect.signature(method).parameters)
+                assert params == ["self", "measured", "records"]
 
     def test_engine_passes_only_counts_and_records(self, monkeypatch):
         seen = []
@@ -295,9 +297,9 @@ class TestHandlerIsolation:
             def __init__(self, inner):
                 self.inner = inner
 
-            def next(self, measured, records):
-                seen.append((measured, list(records)))
-                return self.inner.next(measured, records)
+            def step(self, measured, records):
+                seen.append((measured, records, len(records)))
+                return self.inner.step(measured, records)
 
         original = resolve_method
 
@@ -306,13 +308,13 @@ class TestHandlerIsolation:
             return SpyHandler(handler), estimator
 
         monkeypatch.setattr(engine, "resolve_method", spying_resolve)
-        run_experiment(make_config(), 300, 0)
-        assert seen
-        for measured, records in seen:
+        run_experiment(make_config(protocol="amub"), 300, 0)
+        assert [(m, n) for m, _, n in seen] == [(0, 0), (100, 5), (200, 10)]
+        for measured, records, _ in seen:
             assert isinstance(measured, int)
-            for rec in records:
-                assert isinstance(rec, MeasurementRecord)
-                assert not isinstance(rec, DensityMatrix)
+            assert isinstance(records, RecordStack)
+            assert not any(isinstance(v, DensityMatrix)
+                           for v in vars(records).values())
 
 
 class TestRunCampaign:
