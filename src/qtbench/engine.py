@@ -283,6 +283,8 @@ def _born(rho: DensityMatrix, elements: np.ndarray, settings: int):
     p = np.clip(p, 0.0, None)
     total = p.sum(axis=1)
     for setting_low, setting_total in zip(low, total):
+        if not math.isfinite(setting_total):
+            raise ValueError("Born probabilities are not finite")
         if setting_low < -1e-12:
             raise ValueError(f"negative Born probability {setting_low:.3e}")
         if abs(setting_total - 1.0) > 1e-8:

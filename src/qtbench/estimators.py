@@ -63,7 +63,7 @@ class RecordStack:
     """A run's records stacked setting after setting: ``elements`` (K, d, d),
     the outcomes' POVM elements; ``counts`` and ``shots`` (K,), floats, a
     setting's shots repeated on each of its outcomes; ``offsets``, setting i
-    owning outcomes offsets[i] to offsets[i + 1]."""
+    owning outcomes offsets[i] to offsets[i + 1]. Layout: as SettingStack's."""
 
     def __init__(self):
         self.dims, self.offsets = None, [0]

@@ -50,6 +50,8 @@ class Povm:
         self.elements = np.asarray(self.elements, dtype=complex)
         if self.elements.ndim != 3 or self.elements.shape[1] != self.elements.shape[2]:
             raise ValueError("POVM elements must be a stack of square matrices")
+        if not np.isfinite(self.elements).all():
+            raise ValueError("POVM elements have non-finite entries")
         total = self.elements.sum(axis=0)
         d = total.shape[0]
         if np.max(np.abs(total - identity(d))) > POVM_SUM_TOL:
@@ -57,6 +59,13 @@ class Povm:
         herm = (self.elements + self.elements.conj().transpose(0, 2, 1)) / 2
         if np.linalg.eigvalsh(herm)[:, 0].min() < PSD_EIG_FLOOR:
             raise ValueError("POVM element is not positive semidefinite")
+
+    @classmethod
+    def _checked_by_caller(cls, elements: np.ndarray) -> "Povm":
+        """A Povm whose builder checked its generating vectors instead."""
+        povm = object.__new__(cls)
+        povm.elements = np.asarray(elements, dtype=complex)
+        return povm
 
     @property
     def d(self) -> int:
@@ -88,7 +97,8 @@ class MeasurementSpec:
 class SettingStack(tuple):
     """The specs of one step, all with one outcome count (the step's shots
     override theirs), and ``elements``, their POVM elements stacked setting
-    after setting (K, d, d)."""
+    after setting (K, d, d) in np.concatenate's layout: einsum's last bits
+    depend on the strides, so a C-ordered copy would change results."""
 
     def __new__(cls, specs):
         self = super().__new__(cls, specs)
@@ -99,8 +109,12 @@ class SettingStack(tuple):
 
 
 def basis_povm(u: np.ndarray) -> Povm:
-    """POVM of rank-1 projectors onto the columns of a unitary."""
-    return Povm(np.einsum("ik,jk->kij", u, u.conj()))
+    """POVM of rank-1 projectors onto the columns of a unitary: checking
+    U†U = I (NaN fails) stands for checking each element."""
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or not np.max(np.abs(
+            u.conj().T @ u - identity(len(u)))) <= POVM_SUM_TOL:
+        raise ValueError("a basis must be a square unitary matrix")
+    return Povm._checked_by_caller(np.einsum("ik,jk->kij", u, u.conj()))
 
 
 def allocate_shots(n: int, m: int) -> list[int]:

@@ -65,12 +65,16 @@ class SgqtHandler(QueuedHandler):
 
     def _to_state(self, theta: np.ndarray) -> np.ndarray:
         psi = theta[:self.d] + 1j * theta[self.d:]
-        return _fix_phase(psi / np.linalg.norm(psi))
+        norm = np.linalg.norm(psi)
+        if not 0.0 < norm < np.inf:   # NaN fails too
+            raise ValueError(f"SGQT state vector has norm {norm}")
+        return _fix_phase(psi / norm)
 
     def _projector_spec(self, psi: np.ndarray) -> MeasurementSpec:
+        # psi from _to_state is a unit vector, so its pair is complete and PSD
         proj = np.outer(psi, psi.conj())
-        povm = Povm(np.stack([proj, identity(self.d) - proj]))
-        return MeasurementSpec(povm, dims=self.dims)
+        return MeasurementSpec(Povm._checked_by_caller(
+            np.stack([proj, identity(self.d) - proj])), dims=self.dims)
 
     def _update(self, records):
         if len(records) // 2 < self.k:   # pair k is not measured yet

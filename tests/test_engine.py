@@ -72,6 +72,17 @@ class TestBornProbabilities:
         with pytest.raises(ValueError, match="mismatch"):
             born_probabilities(rho, mub_protocol((2, 2))[0].povm)
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_non_finite_probabilities_raise(self, entry):
+        # a raw element stack, as a step builder that skips the Povm
+        # element checks hands it over
+        rho = DensityMatrix((2,), np.eye(2) / 2)
+        elements = np.stack([np.diag([1.0, 0.0]),
+                             np.diag([0.0, 1.0])]).astype(complex)
+        elements[0][entry] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            engine._born(rho, elements, 1)
+
 
 class TestSampleCounts:
     def test_zero_shots(self):

@@ -19,13 +19,14 @@ from qtbench.protocols import (
     MeasurementSpec,
     Povm,
     allocate_shots,
+    basis_povm,
     complete_local_basis,
     fmub_protocol,
     _product_vector_factors,
     mub_protocol,
     pauli_protocol,
 )
-from qtbench.qcore import DensityMatrix, eig_hermitian
+from qtbench.qcore import DensityMatrix, eig_hermitian, haar_unitary
 
 
 class _StubEstimator:
@@ -93,6 +94,65 @@ class TestPovm:
         povm = Povm(np.stack([np.eye(2) / 2, np.eye(2) / 2]))
         with pytest.raises(ValueError, match="shots"):
             MeasurementSpec(povm, (2,), shots=0)
+
+
+class TestPovmRejectsNonFinite:
+    @pytest.mark.parametrize("entry,value", [((0, 0), np.nan),
+                                             ((0, 1), np.nan),
+                                             ((1, 1), np.inf)])
+    def test_non_finite_element_entry_raises(self, entry, value):
+        elements = np.stack([np.diag([1.0, 0.0]),
+                             np.diag([0.0, 1.0])]).astype(complex)
+        elements[0][entry] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            Povm(elements)
+
+
+class TestBasisPovm:
+    """basis_povm checks the unitary in place of the elements it builds."""
+
+    @pytest.mark.parametrize("u", [np.ones((2, 3), dtype=complex),
+                                   1.01 * np.eye(2, dtype=complex),
+                                   np.full((2, 2), np.nan, dtype=complex)])
+    def test_rejects_non_square_non_unitary_and_nan(self, u):
+        with pytest.raises(ValueError, match="square unitary"):
+            basis_povm(u)
+
+    def test_haar_bases_equal_the_element_checked_construction(self):
+        rng = np.random.default_rng(43)
+        for d in (2, 3, 4, 5, 8):
+            for _ in range(40):
+                u = haar_unitary(d, rng)
+                elements = basis_povm(u).elements
+                assert np.array_equal(
+                    elements, np.einsum("ik,jk->kij", u, u.conj()))
+                Povm(elements)   # the full element checks accept them
+
+
+class TestNoElementChecksOnTheRunPath:
+    """Protocols built from unitaries or unit vectors check those, not each
+    POVM element: no run of theirs calls Povm.__post_init__."""
+
+    @pytest.mark.parametrize("method,dims,n_total", [
+        ("sgqt", (2, 2), 10_000), ("fo+ppi", (2, 2), 1000),
+        ("fomub+ppi", (2, 2), 1000), ("amub+ppi", (2, 2), 1000)])
+    def test_runs_skip_element_checks(self, monkeypatch, method, dims,
+                                      n_total):
+        calls = []
+        checks = Povm.__post_init__
+
+        def spy(self):
+            calls.append(self)
+            checks(self)
+
+        monkeypatch.setattr(Povm, "__post_init__", spy)
+        protocol, estimator = parse_method(method)
+        config = CampaignConfig(dims=dims, test="rps", protocol=protocol,
+                                estimator=estimator, n_grid=(n_total,),
+                                runs_per_n=2, base_seed=3)
+        result = run_experiment(config, n_total, 0)
+        assert not result.failed, result.error
+        assert len(calls) == 0
 
 
 class TestMubBases:

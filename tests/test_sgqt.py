@@ -6,7 +6,8 @@ import pytest
 from qtbench.engine import (CampaignConfig, born_probabilities,
                             run_experiment, sample_counts)
 from qtbench.estimators import MeasurementRecord
-from qtbench.qcore import fidelity
+from qtbench.protocols import Povm
+from qtbench.qcore import fidelity, haar_vector, identity
 import qtbench.sgqt as sgqt
 from qtbench.sgqt import SgqtHandler
 from qtbench.states import gen_rps
@@ -133,6 +134,32 @@ class TestSgqt:
             at10.append(snaps[10])
             at100.append(snaps[100])
         assert np.median(at100) >= np.median(at10)
+
+
+class TestProjectorPairs:
+    """SGQT checks the vector a projector pair is built from, in place of
+    the pair's elements."""
+
+    @pytest.mark.parametrize("theta", [np.zeros(4), np.full(4, np.nan)])
+    def test_pair_from_zero_or_nan_vector_raises(self, theta):
+        handler = SgqtHandler((2,), 1000, np.random.default_rng(98))
+        with pytest.raises(ValueError, match="norm"):
+            handler._projector_spec(handler._to_state(theta))
+
+    def test_pairs_equal_the_element_checked_construction(self):
+        rng = np.random.default_rng(99)
+        for d in (2, 3, 4, 5, 8):
+            handler = SgqtHandler((d,), 1000, rng)
+            for _ in range(40):
+                vec = haar_vector(d, rng).vec
+                theta = np.concatenate([vec.real, vec.imag])
+                psi = handler._to_state(theta)
+                proj = np.outer(psi, psi.conj())
+                # the full element checks accept the pair
+                expected = Povm(np.stack([proj, identity(d) - proj]))
+                assert np.array_equal(
+                    handler._projector_spec(psi).povm.elements,
+                    expected.elements)
 
 
 class TestPinnedRuns:
