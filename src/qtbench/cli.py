@@ -19,6 +19,7 @@ from .engine import (
     CampaignConfig,
     CampaignError,
     ConfigError,
+    check_dims,
     default_grid,
     format_method,
     method_is_factorized,
@@ -46,12 +47,10 @@ from .stats import (
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(x) for x in text.split(","))
+        dims = [int(x) for x in text.split(",")]
     except ValueError:
         raise ConfigError(f"invalid dims {text!r}; expected e.g. '2,2'") from None
-    if not dims or any(x < 2 for x in dims):
-        raise ConfigError("every subsystem dimension must be >= 2")
-    return dims
+    return check_dims(dims)
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:
@@ -83,34 +82,23 @@ def _read_config_file(path: str) -> dict:
 
 
 def _build_config(args) -> CampaignConfig:
-    settings = _read_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, cast=str):
-        if flag_value is not None:
-            return flag_value
-        if key in settings:
-            return cast(settings[key])
-        return None
-
-    dims_text = pick(args.dims, "dims")
-    test_text = pick(args.test, "test")
-    method_text = pick(args.method, "method")
-    if dims_text is None or test_text is None or method_text is None:
+    """The manifest's values with the flags given laid over them; what
+    neither gives takes CampaignConfig's default."""
+    values = _read_config_file(args.config) if args.config else {}
+    values.update((key, getattr(args, key)) for key in MANIFEST_KEYS
+                  if getattr(args, key) is not None)
+    if not {"dims", "test", "method"} <= values.keys():
         raise ConfigError("dims, test and method are required (flags or config file)")
-    dims = _parse_dims(dims_text)
-    test = TestKind.from_id(test_text)
-    protocol, estimator = parse_method(method_text)
-    f_target = pick(args.fb, "fb", float)
-    if f_target is None:
-        f_target = 0.999
-    grid_text = pick(args.grid, "grid")
-    grid = _parse_grid(grid_text) if grid_text else default_grid(test, dims, f_target)
-    runs = pick(args.runs, "runs", int)
-    seed = pick(args.seed, "seed", int)
-    return CampaignConfig(
-        dims=dims, test=test, protocol=protocol, estimator=estimator,
-        n_grid=grid, runs_per_n=1000 if runs is None else runs,
-        base_seed=0 if seed is None else seed, f_target=f_target)
+    dims = _parse_dims(values["dims"])
+    test = TestKind.from_id(values["test"])
+    protocol, estimator = parse_method(values["method"])
+    given = {field: cast(values[key]) for key, field, cast in (
+        ("fb", "f_target", float), ("runs", "runs_per_n", int),
+        ("seed", "base_seed", int)) if key in values}
+    grid = (_parse_grid(values["grid"]) if values.get("grid") else default_grid(
+        test, dims, given.get("f_target", CampaignConfig.f_target)))
+    return CampaignConfig(dims=dims, test=test, protocol=protocol,
+                          estimator=estimator, n_grid=grid, **given)
 
 
 def _workers(args) -> int:
@@ -216,9 +204,10 @@ def cmd_report(args) -> int:
     reports = [lower_bound_report(args.fb, d, r_true)]
     for method, (ctx, results) in zip(methods, campaigns):
         factorized = method_is_factorized(ctx["protocol"], dims)
-        reports.append(compile_report(results, args.fb, d, r_true,
+        curve = build_curve(results)
+        reports.append(compile_report(curve, args.fb, d, r_true,
                                       method=method, factorized=factorized))
-        write_curve_csv(build_curve(results), os.path.join(
+        write_curve_csv(curve, os.path.join(
             args.out, f"curve_{_file_stem(method)}.csv"))
 
     write_report_csv(reports, os.path.join(args.out, "report.csv"))

@@ -205,6 +205,14 @@ class RunResult:
     rank_used: int | None = None
 
 
+def check_dims(dims) -> tuple[int, ...]:
+    """Subsystem dimensions as ints, rejected unless each is at least 2."""
+    dims = tuple(int(x) for x in dims)
+    if not dims or any(x < 2 for x in dims):
+        raise ConfigError("every subsystem dimension must be >= 2")
+    return dims
+
+
 @dataclass
 class CampaignConfig:
     """Everything defining a campaign: system, test, method, grid and seeds."""
@@ -219,7 +227,7 @@ class CampaignConfig:
     f_target: float = 0.999
 
     def __post_init__(self):
-        self.dims = tuple(int(x) for x in self.dims)
+        self.dims = check_dims(self.dims)
         if isinstance(self.test, str):
             self.test = TestKind.from_id(self.test)
         self.n_grid = tuple(int(x) for x in self.n_grid)

@@ -18,8 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from .mub import mub_bases
-from .qcore import (POVM_SUM_TOL, PSD_EIG_FLOOR, eig_hermitian, haar_vector,
-                    identity)
+from .qcore import (HERMITIAN_TOL, POVM_SUM_TOL, PSD_EIG_FLOOR, eig_hermitian,
+                    haar_vector, identity)
 
 ADAPTIVE_MIN_STEP = 100   # shots per adaptive step: max(100, floor(N_t / 30))
 ADAPTIVE_STEP_DIV = 30
@@ -42,7 +42,8 @@ _PAULI = (
 
 @dataclass(eq=False)
 class Povm:
-    """A positive-operator-valued measure: PSD elements summing to identity."""
+    """A positive-operator-valued measure: Hermitian PSD elements summing to
+    identity."""
 
     elements: np.ndarray  # shape (n_outcomes, d, d)
 
@@ -56,7 +57,10 @@ class Povm:
         d = total.shape[0]
         if np.max(np.abs(total - identity(d))) > POVM_SUM_TOL:
             raise ValueError("POVM elements do not sum to the identity")
-        herm = (self.elements + self.elements.conj().transpose(0, 2, 1)) / 2
+        adjoint = self.elements.conj().transpose(0, 2, 1)
+        if np.max(np.abs(self.elements - adjoint)) > HERMITIAN_TOL:
+            raise ValueError("POVM element is not Hermitian")
+        herm = (self.elements + adjoint) / 2
         if np.linalg.eigvalsh(herm)[:, 0].min() < PSD_EIG_FLOOR:
             raise ValueError("POVM element is not positive semidefinite")
 
@@ -248,12 +252,15 @@ def fo_min_budget(dims) -> int:
 class _AdaptiveHandler(QueuedHandler):
     """Common machinery: once per adaptive step, spread the step's shots
     evenly over the bases a subclass chooses (over the first ones only when
-    the step has fewer shots than bases)."""
+    the step has fewer shots than bases). ``_complete`` is the fewest bases
+    that can span the operator space: a basis spans I and d - 1 traceless
+    directions, so prod_j (d_j + 1) product bases, or d + 1 (AMUB)."""
 
     def __init__(self, dims, estimator, budget):
         self.dims = tuple(int(x) for x in dims)
         self.estimator = estimator
         self.budget = budget
+        self._complete = math.prod(dj + 1 for dj in self.dims)
 
     def step(self, measured, records):
         step = _adaptive_step_total(measured, self.budget)
@@ -265,15 +272,10 @@ class _AdaptiveHandler(QueuedHandler):
                             for u in bases[:len(shots)]), shots
 
     def _estimate(self, records) -> np.ndarray | None:
-        # early adaptive steps may not determine a state yet; fall back to
-        # the data-free branch until they do (other estimator failures
-        # propagate to the caller)
-        if not records:
+        # fewer bases cannot determine a state; past them a failure is real
+        if len(records) < self._complete:
             return None
-        try:
-            return self.estimator(records).estimate.mat
-        except IncompleteRecordsError:
-            return None
+        return self.estimator(records).estimate.mat
 
     def _bases(self, records) -> list[np.ndarray]:
         raise NotImplementedError
@@ -286,6 +288,7 @@ class AmubHandler(_AdaptiveHandler):
     def __init__(self, dims, estimator, budget=None):
         super().__init__(dims, estimator, budget)
         self._canonical = mub_bases(math.prod(self.dims))
+        self._complete = len(self._canonical)
 
     def _bases(self, records):
         est = self._estimate(records)

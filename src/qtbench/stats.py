@@ -238,9 +238,11 @@ def build_curve(results) -> PercentileCurve:
 def compile_report(results, f_target: float, d: int, r_true: int,
                    method: str = "", factorized: bool | None = None
                    ) -> BenchmarkReport:
-    """Full benchmark row for one method: N_B plus the interpolated values of
-    every other resource at N_B. Extrapolated rows report only N_B."""
-    curve = build_curve(results)
+    """Full benchmark row for one method, from its run results or its
+    already-built PercentileCurve: N_B plus the interpolated values of every
+    other resource at N_B. Extrapolated rows report only N_B."""
+    curve = (results if isinstance(results, PercentileCurve)
+             else build_curve(results))
     n_b, extrapolated = interpolate_NB(curve, f_target)
     if extrapolated:
         return BenchmarkReport(method=method, n_b=n_b, m95=None, tp95_s=None,

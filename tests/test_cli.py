@@ -204,6 +204,20 @@ class TestConfigKeys:
         assert f"{manifest}:6: unknown key" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dims", ["1", "1,2", "2,0"])
+    def test_subsystem_below_two_exits_2_without_output(self, tmp_path,
+                                                        capsys, dims):
+        manifest = tmp_path / "campaign.cfg"
+        manifest.write_text(f"dims={dims}\ntest=rps\nmethod=fo+ppi\n")
+        out = tmp_path / "out"
+        for argv in (["--config", str(manifest)],
+                     ["--dims", dims, "--test", "rps", "--method", "fo+ppi"]):
+            assert main(["analyze", *argv, "--out", str(out)]) == 2
+            assert "every subsystem dimension must be >= 2" in \
+                capsys.readouterr().err
+            assert not out.exists()
+        assert main(["lowerbound", "--dims", dims, "--test", "rps"]) == 2
+
     def test_known_keys_configure_the_campaign(self, tmp_path):
         manifest = tmp_path / "campaign.cfg"
         manifest.write_text("# a comment\ndims=2\ntest=rps\nmethod=sgqt\n"

@@ -139,6 +139,15 @@ class TestMethodValidation:
         with pytest.raises(ConfigError, match="below"):
             make_config(protocol="pauli", estimator="frml", n_grid=(10, 100))
 
+    @pytest.mark.parametrize("protocol,estimator,dims", [
+        ("sgqt", None, (1,)), ("fo", "ppi", (1, 2)), ("fmub", "ppi", (2, 0)),
+        ("fmub", "ppi", ())])
+    def test_config_rejects_subsystems_below_two(self, protocol, estimator,
+                                                 dims):
+        with pytest.raises(ConfigError, match="every subsystem dimension"):
+            make_config(protocol=protocol, estimator=estimator, dims=dims,
+                        n_grid=(1000,))
+
     @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
     def test_registry_minimum_sample_size(self, protocol):
         # below a protocol's minimum every run fails; at it none must

@@ -1,21 +1,25 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
+import qtbench.engine as engine
 from qtbench.engine import (
     CampaignConfig,
     parse_method,
     resolve_method,
     run_experiment,
 )
+from qtbench.estimators import _real_design, ppi
 from qtbench.mub import SUPPORTED_MUB_DIMS, mub_bases
 from qtbench.protocols import (
     AmubHandler,
     FoHandler,
     FomubHandler,
+    IncompleteRecordsError,
     MeasurementSpec,
     Povm,
     allocate_shots,
@@ -94,6 +98,13 @@ class TestPovm:
         povm = Povm(np.stack([np.eye(2) / 2, np.eye(2) / 2]))
         with pytest.raises(ValueError, match="shots"):
             MeasurementSpec(povm, (2,), shots=0)
+
+    def test_rejects_non_hermitian(self):
+        # Hermitian parts 0.5 I each, sum I: only the Hermiticity check
+        # can reject it
+        a = np.array([[0.5, 0.3], [-0.3, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="Hermitian"):
+            Povm(np.stack([a, a.conj().T]))
 
 
 class TestPovmRejectsNonFinite:
@@ -341,9 +352,12 @@ class TestAmubHandler:
                                        projectors(expected), atol=1e-12)
 
     def test_exact_estimate_diagonalized(self):
-        rho = DensityMatrix((2, 2), np.diag([0.7, 0.2, 0.08, 0.02]).astype(complex))
+        # not diagonal in the canonical first basis, so only a fitted
+        # rotation can diagonalize it
+        u = haar_unitary(4, np.random.default_rng(39))
+        rho = DensityMatrix((2, 2), u @ np.diag([0.7, 0.2, 0.08, 0.02]) @ u.conj().T)
         handler = AmubHandler((2, 2), _StubEstimator(rho))
-        spec = handler.next(100, [object()])
+        spec = handler.next(100, [object()] * 5)
         assert_orthonormal_basis(spec)
         # every basis projector commutes with the estimate: the basis
         # diagonalizes it
@@ -353,7 +367,7 @@ class TestAmubHandler:
     def test_step_budget_schedule(self):
         handler = AmubHandler((2, 2), _StubEstimator(
             DensityMatrix((2, 2), np.eye(4) / 4)))
-        specs = [handler.next(6000, [object()]) for _ in range(5)]
+        specs = [handler.next(6000, [object()] * 5) for _ in range(5)]
         assert sum(s.shots for s in specs) == 200
         assert [s.shots for s in specs] == [40] * 5
 
@@ -422,7 +436,7 @@ class TestFoHandler:
         rng = np.random.default_rng(47)
         rho = DensityMatrix((2, 2), np.diag([0.9, 0.06, 0.03, 0.01]).astype(complex))
         handler = FoHandler((2, 2), _StubEstimator(rho), rng)
-        spec = handler.next(3300, [object()])
+        spec = handler.next(3300, [object()] * 9)
         assert spec.shots == 110  # floor(3300 / 30)
         assert_factorized(spec, (2, 2))
         np.testing.assert_allclose(
@@ -441,7 +455,7 @@ class TestFomubHandler:
         rng = np.random.default_rng(49)
         rho = DensityMatrix((2, 2), np.diag([0.9, 0.06, 0.03, 0.01]).astype(complex))
         handler = FomubHandler((2, 2), _StubEstimator(rho), rng)
-        specs = [handler.next(0, [object()]) for _ in range(9)]
+        specs = [handler.next(0, [object()] * 9) for _ in range(9)]
         assert all(s is not None for s in specs)
         assert sum(s.shots for s in specs) == 100
         for spec in specs:
@@ -451,7 +465,7 @@ class TestFomubHandler:
         rng = np.random.default_rng(50)
         rho = DensityMatrix((2, 2), np.diag([0.9, 0.06, 0.03, 0.01]).astype(complex))
         handler = FomubHandler((2, 2), _StubEstimator(rho), rng)
-        first = handler.next(0, [object()])
+        first = handler.next(0, [object()] * 9)
         # the first element of the first issued basis projects onto the
         # product vector, which must kill the principal component of the
         # estimate
@@ -465,7 +479,7 @@ class TestFomubHandler:
         rng = np.random.default_rng(51)
         rho = DensityMatrix((2, 2), np.eye(4) / 4)
         handler = FomubHandler((2, 2), _StubEstimator(rho), rng)
-        specs = [handler.next(0, [object()]) for _ in range(9)]
+        specs = [handler.next(0, [object()] * 9) for _ in range(9)]
         for spec in specs:
             assert_orthonormal_basis(spec)
         # settings 0, 4 and 8 use a different local MUB on both qubits, so
@@ -474,6 +488,74 @@ class TestFomubHandler:
             overlaps = np.real(np.einsum("aij,bji->ab", specs[i].povm.elements,
                                          specs[j].povm.elements))
             np.testing.assert_allclose(overlaps, 0.25, atol=1e-8)
+
+
+class _Spy:
+    """Wraps an estimator and records the setting count of each call."""
+
+    def __init__(self, estimator):
+        self.estimator, self.settings = estimator, []
+
+    def __call__(self, records):
+        self.settings.append(len(records))
+        return self.estimator(records)
+
+
+def _design_rank(bases):
+    elements = np.concatenate([basis_povm(u).elements for u in bases])
+    return np.linalg.matrix_rank(_real_design(elements))
+
+
+class TestNestedFitsStartAtTheCount:
+    """Adaptive handlers fit only records of at least ``_complete`` bases:
+    fewer cannot determine a state, and from there a fit must succeed."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_mub_count_is_the_fewest_complete_bases(self, d):
+        count = AmubHandler((d,), _StubEstimator(None))._complete
+        bases = mub_bases(d)
+        assert count == len(bases) == d + 1
+        assert _design_rank(bases[:count - 1]) < d * d
+        assert _design_rank(bases[:count]) == d * d
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
+    def test_product_count_is_the_fewest_complete_bases(self, dims):
+        rng = np.random.default_rng(53)
+        count = FoHandler(dims, _StubEstimator(None), rng)._complete
+        d = int(np.prod(dims))
+        bases = [functools.reduce(np.kron, [haar_unitary(dj, rng)
+                                            for dj in dims])
+                 for _ in range(count)]
+        assert _design_rank(bases[:count - 1]) < d * d
+        assert _design_rank(bases) == d * d
+
+    @staticmethod
+    def fo_run():
+        config = CampaignConfig(dims=(2, 2), test="rps", protocol="fo",
+                                estimator="ppi", n_grid=(1000,),
+                                runs_per_n=2, base_seed=7)
+        return run_experiment(config, 1000, 0)
+
+    def test_no_nested_fit_below_the_count(self, monkeypatch):
+        spy = _Spy(ppi)
+        monkeypatch.setitem(engine.ESTIMATORS, "ppi", (spy, False))
+        result = self.fo_run()
+        assert not result.failed, result.error
+        # one nested fit per step from the ninth basis on, then the final fit
+        assert spy.settings == [9, 10]
+
+    def test_a_fit_failing_at_the_count_fails_the_run(self, monkeypatch):
+        def incomplete_at_nine(records):
+            if len(records) == 9:
+                raise IncompleteRecordsError("stub: design rank 15 < 16")
+            return ppi(records)
+
+        monkeypatch.setitem(engine.ESTIMATORS, "ppi",
+                            (incomplete_at_nine, False))
+        result = self.fo_run()
+        assert result.failed
+        assert result.error == \
+            "IncompleteRecordsError: stub: design rank 15 < 16"
 
 
 class TestCompleteLocalBasis:

@@ -53,6 +53,30 @@ class TestPinnedOutputs:
         assert h.hexdigest() == self.PINNED_DIGEST
 
 
+class TestPinnedFrls:
+    # sha256 over repr((fidelity, iterations, converged)) at full precision
+    # of runs 0-2, base seed 7, test rps, N = 10^3 and 10^4
+    CASES = [("fmub+frls", (2, 2)), ("mub+frls", (2, 2)),
+             ("pauli+frls", (2, 2, 2))]
+    PINNED_DIGEST = \
+        "0607dc93e1d17ce79523e8a25e076fbae262df0c4bedd25742c3625eadb8d394"
+
+    def test_frls_runs_match_pinned_digest(self):
+        h = hashlib.sha256()
+        for method, dims in self.CASES:
+            protocol, estimator = parse_method(method)
+            config = CampaignConfig(dims=dims, test="rps", protocol=protocol,
+                                    estimator=estimator,
+                                    n_grid=(1000, 10_000), runs_per_n=3,
+                                    base_seed=7)
+            for n in config.n_grid:
+                for run in range(config.runs_per_n):
+                    r = run_experiment(config, n, run)
+                    h.update(repr((r.fidelity, r.iterations,
+                                   r.converged)).encode())
+        assert h.hexdigest() == self.PINNED_DIGEST
+
+
 # --- the engine's batched step against the per-setting public calls ----------
 
 STEP_CASES = [("mub+ppi", (2, 2)), ("mub+ppi", (3,)), ("fmub+ppi", (2, 2)),
