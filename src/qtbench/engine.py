@@ -366,32 +366,26 @@ def run_experiment(config: CampaignConfig, n_total: int,
                          error=f"{type(exc).__name__}: {exc}")
 
 
-def _run_task(args) -> RunResult:
-    config, n_total, run_index = args
-    return run_experiment(config, n_total, run_index)
-
-
 def run_campaign(config: CampaignConfig, workers: int = 1,
                  on_batch=None) -> list[RunResult]:
     """Execute runs_per_n experiments for every sample size in the grid.
 
     Results are ordered by (grid position, run index) regardless of worker
-    count. With more than one worker, one process pool serves the whole
-    grid, so each worker builds its protocol settings once. ``on_batch(n,
-    results)`` is invoked after each sample size completes. Raises
-    CampaignError if more than 1% of runs failed.
+    count: both map and Executor.map return results in input order. With
+    more than one worker, one process pool serves the whole grid, so each
+    worker builds its protocol settings once. ``on_batch(n, results)`` is
+    invoked after each sample size completes. Raises CampaignError if more
+    than 1% of runs failed.
     """
+    runs = config.runs_per_n
     results: list[RunResult] = []
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
+        mapper = map if pool is None else partial(
+            pool.map, chunksize=max(1, runs // (workers * 8)))
         for n_total in config.n_grid:
-            tasks = [(config, n_total, run) for run in range(config.runs_per_n)]
-            if pool is None:
-                batch = [_run_task(t) for t in tasks]
-            else:
-                chunk = max(1, len(tasks) // (workers * 8))
-                batch = list(pool.map(_run_task, tasks, chunksize=chunk))
-            batch.sort(key=lambda r: r.run_index)
+            batch = list(mapper(run_experiment, [config] * runs,
+                                [n_total] * runs, range(runs)))
             results.extend(batch)
             if on_batch is not None:
                 on_batch(n_total, batch)

@@ -30,13 +30,13 @@ class BenchmarkReport:
 
     method: str
     n_b: float
-    m95: float | None
-    tp95_s: float | None
-    te95_s: float | None
-    eta: float | None
-    outlier_ratio: float | None
-    factorized: bool | None
-    extrapolated: bool
+    m95: float | None = None
+    tp95_s: float | None = None
+    te95_s: float | None = None
+    eta: float | None = None
+    outlier_ratio: float | None = None
+    factorized: bool | None = None
+    extrapolated: bool = False
 
 
 def percentile(values, q: float = 0.95) -> float:
@@ -55,25 +55,24 @@ def nu(d: int, r: int) -> int:
     return (2 * d - r) * r - 1
 
 
-def _chi2():
-    # scipy.stats is imported on first use: it takes most of the import time
-    # of qtbench, and runs that compute no chi-squared value never need it
-    from scipy.stats import chi2
-    return chi2
-
-
 def chi2_icdf(p: float, dof: int) -> float:
     """Inverse CDF of the chi-squared distribution."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
     if dof < 1:
         raise ValueError("dof must be >= 1")
-    return float(_chi2().ppf(p, dof))
+    # imported on first use, as in chi2_sf: runs that compute no chi-squared
+    # value never load scipy
+    from scipy.special import gammaincinv
+    return float(2 * gammaincinv(dof / 2, p))
 
 
 def chi2_sf(x: float, dof: int) -> float:
-    """Upper-tail probability of the chi-squared distribution."""
-    return float(_chi2().sf(x, dof))
+    """Upper-tail probability of the chi-squared distribution (1 for x < 0)."""
+    if dof < 1:
+        raise ValueError("dof must be >= 1")
+    from scipy.special import chdtrc
+    return float(chdtrc(dof, max(x, 0.0)))
 
 
 def lower_bound_NB(f_target: float, d: int, r: int) -> float:
@@ -164,22 +163,17 @@ def interpolate_NB(curve: PercentileCurve, f_target: float) -> tuple[float, bool
     if target <= 0:
         raise ValueError("target fidelity must be below 1")
     ln, ly, lt = np.log10(n), np.log10(y), np.log10(target)
-    for i in range(n.size - 1):
-        if ly[i] >= lt >= ly[i + 1]:
-            if ly[i] == ly[i + 1]:
-                return float(n[i]), False
-            t = (lt - ly[i]) / (ly[i + 1] - ly[i])
-            return float(10 ** (ln[i] + t * (ln[i + 1] - ln[i]))), False
-    if lt < ly[-1]:
-        if ly[-1] >= ly[-2]:
-            raise ValueError("no crossing: the curve tail is not decreasing")
-        t = (lt - ly[-2]) / (ly[-1] - ly[-2])
-        return float(10 ** (ln[-2] + t * (ln[-1] - ln[-2]))), True
-    # target above every point: extend the first segment backward
-    if ly[0] <= ly[1]:
-        raise ValueError("no crossing: the curve head is not decreasing")
-    t = (lt - ly[0]) / (ly[1] - ly[0])
-    return float(10 ** (ln[0] + t * (ln[1] - ln[0]))), True
+    # the first segment that brackets the target, else the nearest end one
+    bracketed = [i for i in range(n.size - 1) if ly[i] >= lt >= ly[i + 1]]
+    tail = lt < ly[-1]
+    i = bracketed[0] if bracketed else (n.size - 2 if tail else 0)
+    if not bracketed and ly[i + 1] >= ly[i]:
+        end = "tail" if tail else "head"
+        raise ValueError(f"no crossing: the curve {end} is not decreasing")
+    if ly[i] == ly[i + 1]:
+        return float(n[i]), False
+    t = (lt - ly[i]) / (ly[i + 1] - ly[i])
+    return float(10 ** (ln[i] + t * (ln[i + 1] - ln[i]))), not bracketed
 
 
 def interpolate_at_NB(n_values, values, n_b: float) -> float:
@@ -208,22 +202,23 @@ def rank_for_test(test: TestKind, d: int) -> int:
 def build_curve(results) -> PercentileCurve:
     """Summarize raw run results (failed runs excluded) into per-N percentiles.
 
-    Outlier ratios require at least 4 runs per sample size and are NaN below
-    that.
+    Every sample size needs at least 2 successful runs, so one whose runs all
+    failed is an error rather than a gap in the curve. Outlier ratios require
+    at least 4 runs per sample size and are NaN below that.
     """
-    ok = [r for r in results if not r.failed]
-    if not ok:
+    if all(r.failed for r in results):
         raise ValueError("no successful runs")
     by_n: dict[int, list] = {}
-    for r in ok:
+    for r in results:
         by_n.setdefault(r.n_total, []).append(r)
     ns = sorted(by_n)
     cols = {"infid_p95": [], "m_p95": [], "tp_p95": [], "te_p95": [],
             "infid_mean": [], "outlier": []}
     for n in ns:
-        runs = by_n[n]
+        runs = [r for r in by_n[n] if not r.failed]
         if len(runs) < 2:
-            raise ValueError(f"need at least 2 runs per sample size (N={n})")
+            raise ValueError(f"need at least 2 runs per sample size (N={n}): "
+                             f"{len(runs)} of {len(by_n[n])} succeeded")
         infid = np.array([1.0 - r.fidelity for r in runs])
         cols["infid_p95"].append(percentile(infid, 0.95))
         cols["m_p95"].append(percentile([r.bases_count for r in runs], 0.95))
@@ -245,9 +240,8 @@ def compile_report(results, f_target: float, d: int, r_true: int,
              else build_curve(results))
     n_b, extrapolated = interpolate_NB(curve, f_target)
     if extrapolated:
-        return BenchmarkReport(method=method, n_b=n_b, m95=None, tp95_s=None,
-                               te95_s=None, eta=None, outlier_ratio=None,
-                               factorized=factorized, extrapolated=True)
+        return BenchmarkReport(method, n_b, factorized=factorized,
+                               extrapolated=True)
     eta_curve = [efficiency(m, n, d, r_true)
                  for m, n in zip(curve.infid_mean, curve.n)]
     ob = interpolate_at_NB(curve.n, curve.outlier, n_b)
@@ -259,17 +253,13 @@ def compile_report(results, f_target: float, d: int, r_true: int,
         te95_s=interpolate_at_NB(curve.n, curve.te_p95, n_b),
         eta=interpolate_at_NB(curve.n, eta_curve, n_b),
         outlier_ratio=None if np.isnan(ob) else ob,
-        factorized=factorized,
-        extrapolated=False)
+        factorized=factorized)
 
 
 def lower_bound_report(f_target: float, d: int, r: int) -> BenchmarkReport:
     """The theoretical-optimum row of the benchmark table."""
-    return BenchmarkReport(method="lower_bound",
-                           n_b=lower_bound_NB(f_target, d, r),
-                           m95=None, tp95_s=None, te95_s=None, eta=1.0,
-                           outlier_ratio=None, factorized=None,
-                           extrapolated=False)
+    return BenchmarkReport("lower_bound", lower_bound_NB(f_target, d, r),
+                           eta=1.0)
 
 
 REPORT_COLUMNS = ("method", "N_B", "M95", "TP95_s", "TE95_s", "eta",

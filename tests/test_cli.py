@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 
@@ -171,6 +172,55 @@ class TestReportCommand:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["report", str(tmp_path / "none.jsonl"),
                      "--out", str(tmp_path)]) == 2
+
+
+class TestPinnedReport:
+    # sha256 over name and bytes of report.csv, report.json, each curve CSV
+    # and stdout of `qtbench report --fb 0.999` on the raw files below, whose
+    # fidelities and times are functions of (N, run index) only
+    PINNED_DIGEST = \
+        "5d70a6f0fe452e7e2809fa38bc656e92d2e193a41c7f812c79d292f787673245"
+    # method -> (infidelity scale, runs per sample size); fmub+ppi crosses
+    # the target between 10^3 and 3*10^3, where it has 3 runs (outlier ratio
+    # None); fmub+trml:1 crosses it between 10^3 and 10^4 and has one failed
+    # run; fmub+arml lies below it (extrapolated back from the first
+    # segment) and sgqt above it (extrapolated on from the last)
+    CAMPAIGNS = {"fmub+ppi": (1.0, {1000: 6, 3000: 3, 10_000: 6}),
+                 "fmub+trml:1": (0.5, {1000: 6, 10_000: 7}),
+                 "fmub+arml": (0.01, {1000: 6, 10_000: 6}),
+                 "sgqt": (50.0, {1000: 5, 10_000: 5})}
+
+    @staticmethod
+    def raw_row(protocol, estimator, n, run, scale, failed):
+        factor = 1 + ((run * 7) % 10) / 5 + (9.0 if run == 5 else 0.0)
+        return {"test": "rps", "dims": [2, 2], "protocol": protocol,
+                "estimator": estimator, "N": n, "run": run, "seed": run,
+                "fidelity": None if failed else 1 - scale * factor / n,
+                "M": 0 if failed else 9 + run % 3,
+                "t_protocol_s": 0.0 if failed else (run + 1) * n * 1e-8,
+                "t_estimator_s": 0.0 if failed else (run + 2) * 1e-3,
+                "failed": failed, "converged": None if failed else True,
+                "iterations": None if failed else run + 1, "rank_used": None,
+                "error": "ValueError: boom" if failed else None}
+
+    def test_report_bytes_match_pinned_digest(self, tmp_path, capsys):
+        paths = []
+        for method, (scale, runs) in self.CAMPAIGNS.items():
+            protocol, _, estimator = method.partition("+")
+            lines = [json.dumps(self.raw_row(protocol, estimator or None, n,
+                                             run, scale, run == 6))
+                     for n, k in runs.items() for run in range(k)]
+            path = tmp_path / f"raw_{len(paths)}.jsonl"
+            path.write_text("\n".join(lines) + "\n")
+            paths.append(str(path))
+        out = tmp_path / "rep"
+        assert main(["report", *paths, "--fb", "0.999", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        h = hashlib.sha256()
+        for name in sorted(os.listdir(out)):
+            h.update(name.encode() + (out / name).read_bytes())
+        h.update(stdout.encode())
+        assert h.hexdigest() == self.PINNED_DIGEST
 
 
 class TestRoundTripMatrix:

@@ -111,23 +111,58 @@ class TestChi2Sf:
                                                                  rel=1e-9)
 
 
-def test_runs_without_chi2_leave_scipy_stats_unloaded():
-    # scipy.stats dominates import time; only chi-squared values load it
-    code = ("import sys, qtbench\n"
+class TestChi2MatchesScipyStats:
+    # chi2_icdf and chi2_sf call the scipy.special functions that
+    # scipy.stats.chi2 wraps; only this test imports scipy.stats
+    DOFS = (*range(1, 301), 1000, 3000, 5000)
+
+    def test_bit_identical(self):
+        from scipy.stats import chi2
+        xs = np.linspace(0.0, 1e5, 401)
+        for dof in self.DOFS:
+            for p in (0.5, 0.9, 0.95, 0.975, 0.99):
+                assert chi2_icdf(p, dof) == float(chi2.ppf(p, dof))
+            assert [chi2_sf(float(x), dof) for x in xs] == \
+                chi2.sf(xs, dof).tolist()
+
+    def test_edge_cases(self):
+        assert chi2_sf(-1.0, 3) == 1.0
+        assert chi2_sf(float("inf"), 3) == 0.0
+        assert np.isnan(chi2_sf(float("nan"), 3))
+        with pytest.raises(ValueError, match="dof"):
+            chi2_sf(1.0, 0)
+
+
+def test_scipy_stats_never_loads(tmp_path):
+    # a static run loads no scipy module, and chi-squared values, an arml
+    # fit and a report load scipy.special but never scipy.stats
+    code = ("import contextlib, io, sys, qtbench\n"
+            "from qtbench.cli import main\n"
+            "def loaded(name):\n"
+            "    return any(m == name or m.startswith(name + '.')\n"
+            "               for m in sys.modules)\n"
             "config = qtbench.CampaignConfig(dims=(2, 2), test='rps', "
             "protocol='fmub', estimator='trml:1', n_grid=(1000,), "
             "runs_per_n=2)\n"
             "assert not qtbench.run_experiment(config, 1000, 0).failed\n"
-            "print('scipy.stats' in sys.modules)\n"
+            "print(loaded('scipy'))\n"
             "qtbench.chi2_icdf(0.95, 3)\n"
-            "print('scipy.stats' in sys.modules)\n")
+            "qtbench.stats.chi2_sf(7.8, 3)\n"
+            "print(loaded('scipy.stats'))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['analyze', '--dims', '2,2', '--test', 'rps',\n"
+            "                 '--method', 'fmub+arml', '--grid', '200,400',\n"
+            "                 '--runs', '4', '--out', sys.argv[1]]) == 0\n"
+            "    assert main(['report', sys.argv[1] + '/raw_rps_fmub-arml.jsonl',\n"
+            "                 '--out', sys.argv[1]]) == 0\n"
+            "print(loaded('scipy.special'), loaded('scipy.stats'))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code],
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False", "False", "True", "False"]
 
 
 class TestLowerBound:
@@ -279,6 +314,17 @@ class TestInterpolateNB:
         with pytest.raises(ValueError, match="not decreasing"):
             interpolate_NB(curve, 0.999)
 
+    def test_rising_head_without_crossing_errors(self):
+        curve = flat_curve([1e3, 1e4, 1e5], [2e-3, 3e-3, 1e-3])
+        with pytest.raises(ValueError, match="curve head is not decreasing"):
+            interpolate_NB(curve, 1 - 1e-2)
+
+    def test_extrapolation_before_grid(self):
+        curve = flat_curve([1e3, 1e4, 1e5], [1e-2, 1e-3, 5e-4])
+        n_b, extrapolated = interpolate_NB(curve, 1 - 1e-1)
+        assert n_b == pytest.approx(1e2, rel=1e-9)
+        assert extrapolated
+
     def test_identity_on_exact_log_log_line(self):
         # slope -0.7 synthetic line: interpolation must invert exactly
         n = np.array([1e2, 1e3, 1e4, 1e5])
@@ -351,6 +397,16 @@ class TestCompileReport:
     def test_build_curve_requires_two_runs(self):
         results = runs_from_infidelities({1000: [1e-3]})
         with pytest.raises(ValueError, match="2 runs"):
+            build_curve(results)
+
+    def test_sample_size_whose_runs_all_failed_is_an_error(self):
+        results = runs_from_infidelities({1000: [1e-3] * 5, 10_000: [1e-4] * 5})
+        results += [RunResult(n_total=100, fidelity=float("nan"),
+                              bases_count=0, t_protocol=0.0, t_estimator=0.0,
+                              run_index=i, seed=i, failed=True)
+                    for i in range(5)]
+        with pytest.raises(ValueError,
+                           match=r"2 runs .*\(N=100\): 0 of 5 succeeded"):
             build_curve(results)
 
 
