@@ -37,6 +37,7 @@ from .stats import (
     lower_bound_NB,
     lower_bound_report,
     nu,
+    percentile,
     rank_for_test,
     report_rows,
     write_curve_csv,
@@ -55,9 +56,13 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 def _parse_grid(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(float(x)) for x in text.split(","))
-    except (ValueError, OverflowError):
-        raise ConfigError(f"invalid grid {text!r}; expected e.g. '100,1000'") from None
+        sizes = [float(x) for x in text.split(",")]
+        if all(n.is_integer() for n in sizes):  # '1e4' yes; '1500.5', inf no
+            return tuple(int(n) for n in sizes)
+    except ValueError:
+        pass
+    raise ConfigError(f"invalid grid {text!r}; expected whole sample sizes, "
+                      f"e.g. '100,1000'")
 
 
 MANIFEST_KEYS = ("dims", "test", "method", "fb", "grid", "runs", "seed")
@@ -143,7 +148,7 @@ def cmd_analyze(args) -> int:
             unconverged = sum(r.converged is False for r in batch)
             note = f", {failed} failed" if failed else ""
             note += f", {unconverged} unconverged" if unconverged else ""
-            p95 = np.quantile([1.0 - r.fidelity for r in ok], 0.95) if ok else float("nan")
+            p95 = percentile([1.0 - r.fidelity for r in ok]) if ok else float("nan")
             print(f"  N={n}: {len(batch)} runs{note}, [1-F]_95={p95:.3e}",
                   file=sys.stderr)
 

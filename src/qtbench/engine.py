@@ -22,7 +22,6 @@ from functools import partial
 import numpy as np
 
 from .estimators import RecordStack, arml, frls, frml, ppi, trml
-from .mub import SUPPORTED_MUB_DIMS
 from .protocols import (
     AmubHandler,
     FoHandler,
@@ -47,10 +46,6 @@ class ConfigError(ValueError):
 class CampaignError(RuntimeError):
     """Raised when more than 1% of a campaign's runs failed."""
 
-    def __init__(self, message, results=None):
-        super().__init__(message)
-        self.results = results or []
-
 
 _TEST_CODE = {TestKind.RPS: 1, TestKind.RMSPT2: 2, TestKind.RMSPTD: 3,
               TestKind.RNP: 4}
@@ -65,44 +60,38 @@ class ProtocolRow:
     yields an estimate (below it every run fails)."""
 
     build: Callable   # (config, n_total, estimator, rng) -> handler
-    min_n: Callable   # config -> smallest workable sample size
-    mub_dims: Callable = lambda dims: ()   # dimensions that need a MUB set
+    min_n: Callable   # dims -> fewest workable copies; raises if unbuildable
     qubits_only: bool = False
     multipartite: bool = False             # needs at least two subsystems
     factorized: bool = False
     takes_estimator: bool = True
 
 
+def _static(builder, **flags) -> ProtocolRow:
+    """A static protocol's row: a run needs one shot per built setting."""
+    return ProtocolRow(
+        build=lambda c, n, est, rng: StaticHandler(builder(c.dims), n),
+        min_n=lambda dims: len(builder(dims)), **flags)
+
+
 PROTOCOLS = {
-    "mub": ProtocolRow(
-        build=lambda c, n, est, rng: StaticHandler(mub_protocol(c.dims), n),
-        min_n=lambda c: math.prod(c.dims) + 1,
-        mub_dims=lambda dims: (math.prod(dims),)),
-    "fmub": ProtocolRow(
-        build=lambda c, n, est, rng: StaticHandler(fmub_protocol(c.dims), n),
-        min_n=lambda c: math.prod(dj + 1 for dj in c.dims),
-        mub_dims=lambda dims: dims, factorized=True),
-    "pauli": ProtocolRow(
-        build=lambda c, n, est, rng: StaticHandler(
-            pauli_protocol(len(c.dims)), n),
-        min_n=lambda c: 4 ** len(c.dims) - 1, qubits_only=True,
-        factorized=True),
+    "mub": _static(mub_protocol),
+    "fmub": _static(fmub_protocol, factorized=True),
+    "pauli": _static(lambda dims: pauli_protocol(len(dims)),
+                     qubits_only=True, factorized=True),
     "amub": ProtocolRow(
         build=lambda c, n, est, rng: AmubHandler(c.dims, est, n),
-        min_n=lambda c: math.prod(c.dims) + 1,
-        mub_dims=lambda dims: (math.prod(dims),)),
+        min_n=lambda dims: len(mub_protocol(dims))),
     "fo": ProtocolRow(
         build=lambda c, n, est, rng: FoHandler(c.dims, est, rng, n),
-        min_n=lambda c: fo_min_budget(c.dims), multipartite=True,
-        factorized=True),
+        min_n=fo_min_budget, multipartite=True, factorized=True),
     "fomub": ProtocolRow(
         build=lambda c, n, est, rng: FomubHandler(c.dims, est, rng, n),
-        min_n=lambda c: math.prod(dj + 1 for dj in c.dims),
-        mub_dims=lambda dims: dims, multipartite=True, factorized=True),
+        min_n=lambda dims: len(fmub_protocol(dims)), multipartite=True,
+        factorized=True),
     "sgqt": ProtocolRow(
         build=lambda c, n, est, rng: SgqtHandler(c.dims, n, rng),
-        min_n=lambda c: 2 * SGQT_SHOTS,
-        takes_estimator=False),
+        min_n=lambda dims: 2 * SGQT_SHOTS, takes_estimator=False),
 }
 
 # estimator name -> (fit, whether it takes a rank argument as in 'trml:1')
@@ -164,17 +153,16 @@ def validate_method(protocol: str, estimator: str | None, dims: tuple):
         raise ConfigError(f"protocol {protocol!r} requires an estimator")
     else:
         _estimator(estimator, math.prod(dims))
-    for dj in row.mub_dims(dims):
-        if dj not in SUPPORTED_MUB_DIMS:
-            raise ConfigError(f"protocol {protocol!r} needs MUBs in dimension "
-                              f"{dj}, outside the MUB-supported set "
-                              f"{SUPPORTED_MUB_DIMS}")
     if row.qubits_only and any(x != 2 for x in dims):
         raise ConfigError(
             f"protocol {protocol!r} is defined for qubit registers")
     if row.multipartite and len(dims) < 2:
         raise ConfigError(
             f"protocol {protocol!r} needs at least two subsystems")
+    try:
+        row.min_n(dims)
+    except ValueError as exc:
+        raise ConfigError(f"protocol {protocol!r}: {exc}") from None
 
 
 def method_is_factorized(protocol: str, dims: tuple) -> bool:
@@ -253,7 +241,7 @@ class CampaignConfig:
 
 def check_min_n(config: CampaignConfig, n_total: int):
     """Reject a sample size below the configured protocol's minimum."""
-    n_min = PROTOCOLS[config.protocol].min_n(config)
+    n_min = PROTOCOLS[config.protocol].min_n(config.dims)
     if n_total < n_min:
         raise ConfigError(
             f"sample size {n_total} is below {n_min}, the fewest copies from "
@@ -391,8 +379,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1,
                 on_batch(n_total, batch)
     failed = sum(r.failed for r in results)
     if failed > 0.01 * len(results):
-        raise CampaignError(
-            f"{failed} of {len(results)} runs failed", results=results)
+        raise CampaignError(f"{failed} of {len(results)} runs failed")
     return results
 
 
@@ -400,7 +387,6 @@ def default_grid(test: TestKind, dims, f_target: float = 0.999) -> tuple[int, ..
     """Powers of 10 spanning the region where the infidelity percentile is
     expected to cross 1 - f_target (two decades of margin past the lower
     bound, capped at 10^7)."""
-    dims = tuple(int(x) for x in dims)
     d = int(np.prod(dims))
     n_b = lower_bound_NB(f_target, d, rank_for_test(test, d))
     lo = 2

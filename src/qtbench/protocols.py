@@ -244,7 +244,7 @@ def fo_min_budget(dims) -> int:
     fewest random product bases that can be informationally complete: one
     shot past the steps before it."""
     measured = 0
-    for _ in range(math.prod(int(dj) + 1 for dj in dims) - 1):
+    for _ in range(math.prod(dj + 1 for dj in dims) - 1):
         measured += _adaptive_step_total(measured, None)
     return measured + 1
 
@@ -317,7 +317,6 @@ def _product_vector_factors(targets: np.ndarray, dims, rng):
     objective is monotonically non-increasing within a sweep cycle.
     Returns (factors, residual).
     """
-    dims = tuple(int(x) for x in dims)
     n = len(dims)
     tensors = [targets[:, k].reshape(dims) for k in range(targets.shape[1])]
     best_factors, best_obj = None, np.inf

@@ -32,7 +32,6 @@ class TestKind(enum.Enum):
 
 def gen_rps(dims, rng: np.random.Generator) -> DensityMatrix:
     """Random pure state |psi><psi| with |psi> = U|0>, U Haar-random."""
-    dims = tuple(int(x) for x in dims)
     d = int(np.prod(dims))
     if d < 2:
         raise ValueError("total dimension must be >= 2")
@@ -42,7 +41,6 @@ def gen_rps(dims, rng: np.random.Generator) -> DensityMatrix:
 
 def gen_rmspt(dims, dA: int, rng: np.random.Generator) -> DensityMatrix:
     """Random mixed state: partial trace of a Haar vector over a dA-dim ancilla."""
-    dims = tuple(int(x) for x in dims)
     d = int(np.prod(dims))
     if dA < 2:
         raise ValueError("ancilla dimension must be >= 2")
@@ -52,7 +50,6 @@ def gen_rmspt(dims, dA: int, rng: np.random.Generator) -> DensityMatrix:
 
 def noisy_register(dims, e0: float) -> DensityMatrix:
     """n-qubit register where each qubit starts in |1> with probability e0."""
-    dims = tuple(int(x) for x in dims)
     if any(x != 2 for x in dims):
         raise ValueError("noisy register is defined for qubit subsystems only")
     if not 0.0 <= e0 <= 1.0:
@@ -80,9 +77,6 @@ def gen_rnp(dims, rng: np.random.Generator,
     Pass explicit p or e0 to pin a noise level (used by tests); by default a
     fresh pair is drawn for every call.
     """
-    dims = tuple(int(x) for x in dims)
-    if any(x != 2 for x in dims):
-        raise ValueError("noisy preparation is defined for qubit registers only")
     if p is None:
         p = float(rng.uniform(0.0, 0.01))
     if e0 is None:
@@ -136,7 +130,6 @@ def depolarizing_weight(sigma: float, d: int) -> float:
 
 def generate_state(kind: TestKind, dims, rng: np.random.Generator) -> DensityMatrix:
     """Dispatch a true-state draw for the given benchmark test."""
-    dims = tuple(int(x) for x in dims)
     if kind is TestKind.RPS:
         return gen_rps(dims, rng)
     if kind is TestKind.RMSPT2:

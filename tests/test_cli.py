@@ -268,6 +268,33 @@ class TestConfigKeys:
             assert not out.exists()
         assert main(["lowerbound", "--dims", dims, "--test", "rps"]) == 2
 
+    @pytest.mark.parametrize("grid", ["1500.5,1e4", "200,400.25"])
+    def test_fractional_sample_size_exits_2_without_output(
+            self, tmp_path, capsys, grid):
+        # a fraction is rejected, not truncated, from the flag and the
+        # manifest alike
+        manifest = tmp_path / "campaign.cfg"
+        manifest.write_text(
+            f"dims=2,2\ntest=rps\nmethod=fmub+ppi\ngrid={grid}\n")
+        out = tmp_path / "out"
+        for argv in (["--config", str(manifest)],
+                     ["--dims", "2,2", "--test", "rps", "--method",
+                      "fmub+ppi", "--grid", grid]):
+            assert main(["analyze", *argv, "--runs", "2",
+                         "--out", str(out)]) == 2
+            assert "invalid grid" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_exponent_form_sample_size_is_accepted(self, tmp_path):
+        manifest = tmp_path / "campaign.cfg"
+        manifest.write_text("dims=2\ntest=rps\nmethod=sgqt\ngrid=2e2,4E2\n"
+                            "runs=2\n")
+        assert main(["analyze", "--config", str(manifest),
+                     "--out", str(tmp_path)]) == 0
+        rows = [json.loads(line) for line in
+                (tmp_path / "raw_rps_sgqt.jsonl").read_text().splitlines()]
+        assert [r["N"] for r in rows] == [200, 200, 400, 400]
+
     def test_known_keys_configure_the_campaign(self, tmp_path):
         manifest = tmp_path / "campaign.cfg"
         manifest.write_text("# a comment\ndims=2\ntest=rps\nmethod=sgqt\n"

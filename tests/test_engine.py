@@ -121,6 +121,19 @@ class TestMethodValidation:
         with pytest.raises(ConfigError, match="outside"):
             validate_method("fmub", "trml:9", (2, 2))
 
+    @pytest.mark.parametrize("protocol,estimator,dims", [
+        ("mub", "frml", (2, 3)), ("amub", "frml", (2, 3)),
+        ("fmub", "frml", (6,)), ("fomub", "frml", (6, 2))])
+    def test_mub_protocols_need_mub_supported_dims(self, protocol, estimator,
+                                                   dims):
+        # the builder's own check, raised as a ConfigError naming the row
+        pattern = f"protocol {protocol!r}: .*MUB-supported"
+        with pytest.raises(ConfigError, match=pattern):
+            validate_method(protocol, estimator, dims)
+        with pytest.raises(ConfigError, match=pattern):
+            make_config(protocol=protocol, estimator=estimator, dims=dims,
+                        n_grid=(10**6,))
+
     def test_protocol_dimension_constraints(self):
         with pytest.raises(ConfigError, match="MUB-supported"):
             validate_method("mub", "frml", (2, 3))  # d = 6
@@ -155,7 +168,7 @@ class TestMethodValidation:
         kw = dict(protocol=protocol,
                   estimator="ppi" if row.takes_estimator else None,
                   dims=(2, 2) if row.multipartite else (2,))
-        n_min = row.min_n(make_config(n_grid=(10**6,), **kw))
+        n_min = row.min_n(kw["dims"])
         with pytest.raises(ConfigError, match="below"):
             make_config(n_grid=(n_min - 1,), **kw)
         config = make_config(n_grid=(n_min,), **kw)
@@ -163,6 +176,21 @@ class TestMethodValidation:
         assert not res.failed, res.error
         res = run_experiment(config, n_min - 1, 0)
         assert res.failed and res.error.startswith("ConfigError: ")
+
+    @pytest.mark.parametrize("protocol,dims,n_min", [
+        ("mub", (2,), 3), ("mub", (2, 2), 5), ("mub", (3,), 4),
+        ("amub", (2,), 3), ("amub", (2, 2), 5), ("amub", (2, 2, 2), 9),
+        ("fmub", (2,), 3), ("fmub", (2, 2), 9), ("fmub", (2, 3), 12),
+        ("fomub", (2, 2), 9), ("fomub", (2, 3), 12),
+        ("pauli", (2,), 3), ("pauli", (2, 2), 15), ("pauli", (2, 2, 2), 63),
+        ("fo", (2, 2), 801), ("fo", (2, 3), 1101), ("fo", (2, 2, 2), 2601),
+        ("sgqt", (2,), 200), ("sgqt", (2, 2), 200)])
+    def test_registry_minimum_matches_documented_table(self, protocol, dims,
+                                                       n_min):
+        # d+1 for mub/amub, prod_j (d_j+1) for fmub/fomub, 4^n-1 for pauli,
+        # one copy past the FO steps below prod_j (d_j+1) bases, and one
+        # sgqt evaluation pair
+        assert PROTOCOLS[protocol].min_n(dims) == n_min
 
     @pytest.mark.parametrize("protocol,estimator,dims,n_total", [
         ("sgqt", None, (2,), 150), ("fmub", "ppi", (2, 2), 8)])
@@ -261,7 +289,7 @@ class TestBudgetConservation:
         row = PROTOCOLS[protocol]
         estimator = "ppi" if row.takes_estimator else None
         n_min = row.min_n(make_config(protocol=protocol, estimator=estimator,
-                                      n_grid=(10**6,)))
+                                      n_grid=(10**6,)).dims)
         config = make_config(protocol=protocol, estimator=estimator,
                              n_grid=(n_min, 1234))
         pair = 2 * SGQT_SHOTS
@@ -447,3 +475,9 @@ class TestDefaultGrid:
         assert all(b == 10 * a for a, b in zip(grid, grid[1:]))
         from qtbench.stats import lower_bound_NB
         assert grid[-1] >= 10 * lower_bound_NB(0.999, 4, 1)
+
+    @pytest.mark.parametrize("test", list(TestKind))
+    def test_dims_as_list_or_numpy_ints_give_the_same_grid(self, test):
+        grid = default_grid(test, (2, 3))
+        assert default_grid(test, [2, 3]) == grid
+        assert default_grid(test, np.array([2, 3])) == grid

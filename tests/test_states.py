@@ -215,6 +215,20 @@ class TestDepolarizingWeight:
 
 
 class TestGenerateStateDispatch:
+    @pytest.mark.parametrize("kind,dims", [
+        (TestKind.RPS, (2, 3)), (TestKind.RMSPT2, (2, 3)),
+        (TestKind.RMSPTD, (3, 2)), (TestKind.RNP, (2, 2))])
+    def test_dims_as_list_or_numpy_ints_give_the_same_state(self, kind,
+                                                            dims):
+        def draw(given):
+            return generate_state(kind, given, np.random.default_rng(41))
+        ref = draw(dims)
+        for given in (list(dims), np.array(dims), [np.int64(x) for x in dims]):
+            rho = draw(given)
+            assert rho.dims == dims
+            assert all(type(x) is int for x in rho.dims)
+            assert rho.mat.tobytes() == ref.mat.tobytes()
+
     def test_all_kinds_produce_valid_states(self):
         rng = np.random.default_rng(36)
         for kind in TestKind:
