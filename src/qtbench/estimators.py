@@ -12,11 +12,12 @@ chi-squared adequacy (arml).
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .protocols import IncompleteRecordsError, MeasurementSpec, SettingStack
+from .protocols import (IncompleteRecordsError, MeasurementSpec, SettingStack,
+                        _real_design, _triu)
 from .qcore import DensityMatrix, eig_hermitian, hermitize, project_to_simplex
 from .stats import chi2_sf, nu
 
@@ -51,12 +52,14 @@ class MeasurementRecord:
 
 def _check_counts(counts: np.ndarray, shots):
     """Counts, a setting's on the last axis, are nonnegative and sum to its
-    shots."""
+    shots (NaN fails); the first failing setting raises."""
     if np.any(counts < 0):
         raise ValueError("counts must be nonnegative")
-    for total, k in zip(np.ravel(counts.sum(axis=-1)), np.ravel(shots)):
-        if abs(total - k) > 1e-6 * max(1.0, k):
-            raise ValueError(f"counts sum {total} does not match shots {k}")
+    total, shots = np.ravel(counts.sum(axis=-1)), np.ravel(shots)
+    bad = ~(np.abs(total - shots) <= 1e-6 * np.maximum(1.0, shots))
+    if bad.any():
+        raise ValueError(f"counts sum {total[bad][0]} does not match shots "
+                         f"{shots[bad][0]}")
 
 
 class RecordStack:
@@ -66,7 +69,7 @@ class RecordStack:
     owning outcomes offsets[i] to offsets[i + 1]. Layout: as SettingStack's."""
 
     def __init__(self):
-        self.dims, self.offsets = None, [0]
+        self.dims, self.offsets, self._step = None, [0], None
 
     @classmethod
     def of(cls, records) -> "RecordStack":
@@ -100,14 +103,22 @@ class RecordStack:
 
     @cached_property
     def design(self) -> np.ndarray:
-        """ppi's design matrix, computed once per content."""
-        return _real_design(self.elements)
+        """ppi's design matrix: while the stack holds one step, that step's
+        own; else computed once per content."""
+        return (_real_design(self.elements) if self._step is None
+                else self._step.design)
 
     def append(self, settings: SettingStack, counts, shots):
         """Add a step's settings, counts (settings, outcomes) and shots."""
         counts = np.asarray(counts, dtype=float)
+        outcomes = settings[0].povm.n_outcomes
+        if (counts.shape != (len(settings), outcomes)
+                or np.shape(shots) != (len(settings),)):
+            raise ValueError(
+                f"{len(settings)} settings of {outcomes} outcomes do not match "
+                f"counts of shape {counts.shape} and {np.size(shots)} shots")
         _check_counts(counts, shots)
-        start, outcomes = self.offsets[-1], counts.shape[1]
+        start = self.offsets[-1]
         self.offsets += range(start + outcomes, start + counts.size + 1,
                               outcomes)
         new = (settings.elements, counts.ravel(),
@@ -115,7 +126,7 @@ class RecordStack:
         if start:
             new = [np.concatenate(pair) for pair in
                    zip((self.elements, self.counts, self.shots), new)]
-        self.dims = settings[0].dims
+        self.dims, self._step = settings[0].dims, None if start else settings
         self.elements, self.counts, self.shots = new
         self.__dict__.pop("design", None)
 
@@ -149,20 +160,6 @@ def log_likelihood(rho: DensityMatrix, records) -> float:
 
 # --- pseudo-inversion --------------------------------------------------------
 
-_triu = lru_cache(maxsize=None)(np.triu_indices)
-
-
-def _real_design(povm: np.ndarray) -> np.ndarray:
-    """Design matrix of the map (Hermitian X) -> Tr(X P_k) in the real
-    parametrization (diagonal, 2 Re upper, 2 Im upper)."""
-    d = povm.shape[1]
-    iu = _triu(d, 1)
-    diag = povm[:, np.arange(d), np.arange(d)].real
-    re = 2.0 * povm[:, iu[0], iu[1]].real
-    im = 2.0 * povm[:, iu[0], iu[1]].imag
-    return np.hstack([diag, re, im])
-
-
 def _unpack_hermitian(theta: np.ndarray, d: int) -> np.ndarray:
     iu = _triu(d, 1)
     n_off = iu[0].size
@@ -179,6 +176,13 @@ def ppi(records) -> EstimatorReport:
     frequencies for a Hermitian matrix, then projection of its spectrum onto
     the probability simplex (eigenvectors kept)."""
     records = RecordStack.of(records)
+    return EstimatorReport(
+        estimate=DensityMatrix(records.dims, _ppi_matrix(records)),
+        rank_used=records.d, iterations=0, converged=True)
+
+
+def _ppi_matrix(records: RecordStack) -> np.ndarray:
+    """ppi's estimate as a plain matrix, unvalidated."""
     d = records.d
     freqs = records.counts / records.shots
     # lstsq counts singular values above max(M, N) eps sigma_max, the
@@ -191,10 +195,7 @@ def ppi(records) -> EstimatorReport:
     x = _unpack_hermitian(theta, d)
     w, v = eig_hermitian(x)
     lam = project_to_simplex(w)
-    est = hermitize((v * lam) @ v.conj().T)
-    return EstimatorReport(
-        estimate=DensityMatrix(records.dims, est),
-        rank_used=d, iterations=0, converged=True)
+    return hermitize((v * lam) @ v.conj().T)
 
 
 # --- projected-gradient least squares ---------------------------------------
@@ -216,7 +217,7 @@ def frls(records) -> EstimatorReport:
     d = records.d
     freqs = counts / shots
     weights = shots / shots.sum()
-    rho = ppi(records).estimate.mat
+    rho = _ppi_matrix(records)
 
     lipschitz = 2.0 * float(np.sum(weights * np.einsum("kij,kij->k", povm,
                                                        povm.conj()).real))
@@ -242,12 +243,10 @@ def frls(records) -> EstimatorReport:
 # --- maximum likelihood ------------------------------------------------------
 
 def _likelihood_operator(povm, freq, p):
-    """R(rho)/N = sum_k (n_k / N) P_k / p_k, outcomes with zero counts
-    skipped. Working with frequencies keeps the iteration exactly invariant
-    under a rescaling of all counts."""
-    mask = freq > 0
-    ratio = freq[mask] / np.clip(p[mask], 1e-300, None)
-    return np.einsum("k,kij->ij", ratio, povm[mask])
+    """R(rho)/N = sum_k (n_k / N) P_k / p_k over the outcomes with nonzero
+    counts, the only ones passed. Working with frequencies keeps the
+    iteration exactly invariant under a rescaling of all counts."""
+    return np.einsum("k,kij->ij", freq / np.maximum(p, 1e-300), povm)
 
 
 def frml(records) -> EstimatorReport:
@@ -293,22 +292,27 @@ def _newton_step(povm, freq, p, c, r_op) -> np.ndarray:
     least squares in the directions orthogonal to it; a step along the
     gauge would only rotate c, and off the stationary point its curvature
     is of the order of the gradient, which would blow such a step up.
+    The arrays are those of the outcomes with nonzero counts.
     """
     d, r = c.shape
-    mask = freq > 0
-    g = np.einsum("kij,jr->kir", povm[mask], c).reshape(-1, d * r)
+    n = d * r
+    g = np.einsum("kij,jr->kir", povm, c).reshape(-1, n)
     g = np.hstack([g.real, g.imag])
-    weights = freq[mask] / p[mask] ** 2
+    weights = freq / p ** 2
     x = _real(c)
     grad = 2.0 * (_real(r_op @ c) - x)
-    rk = np.kron(r_op, np.eye(r))   # R acting on c.ravel()
-    hess = (2.0 * np.block([[rk.real, -rk.imag], [rk.imag, rk.real]])
-            - 4.0 * (g.T * weights) @ g - 2.0 * np.eye(x.size))
+    rk = r_op if r == 1 else np.kron(r_op, np.eye(r))   # R on c.ravel()
+    hess = np.empty((2 * n, 2 * n))
+    hess[:n, :n] = hess[n:, n:] = rk.real
+    hess[:n, n:], hess[n:, :n] = -rk.imag, rk.imag
+    hess *= 2.0
+    hess -= 4.0 * (g.T * weights) @ g
+    hess.flat[::2 * n + 1] -= 2.0
     basis = _gauge_complement(c)
     y = np.linalg.lstsq(basis.T @ hess @ basis, -(basis.T @ grad),
                         rcond=None)[0]
     step = basis @ y
-    return (step[:d * r] + 1j * step[d * r:]).reshape(d, r)
+    return (step[:n] + 1j * step[n:]).reshape(d, r)
 
 
 def trml(records, r: int) -> EstimatorReport:
@@ -341,21 +345,23 @@ def trml(records, r: int) -> EstimatorReport:
     if not 1 <= r <= d:
         raise ValueError(f"rank must lie in 1..{d}")
     freq = counts / counts.sum()
+    mask = freq > 0
+    # boolean-index copies, made once: einsum's last bits depend on layout
+    povm_m, freq_m = povm[mask], freq[mask]
 
-    anchor = ppi(records).estimate
-    w, v = eig_hermitian(anchor.mat)
+    anchor = _ppi_matrix(records)
+    w, v = eig_hermitian(anchor)
     lam = 0.95 * w[:r] + 0.05 / r  # keep every root column populated
     lam = np.clip(lam, 1e-12, None)
     lam /= lam.sum()
     c = v[:, :r] * np.sqrt(lam)
 
     def loglik_of(c_mat):
-        p = np.clip(_probs(povm, c_mat @ c_mat.conj().T), 1e-300, None)
-        mask = freq > 0
-        return float(np.sum(freq[mask] * np.log(p[mask]))), p
+        p = np.maximum(_probs(povm, c_mat @ c_mat.conj().T), 1e-300)[mask]
+        return float(np.sum(freq_m * np.log(p))), p
 
     def residual_of(c_mat, p):
-        r_op = _likelihood_operator(povm, freq, p)
+        r_op = _likelihood_operator(povm_m, freq_m, p)
         rc = r_op @ c_mat
         mu = float(np.real(np.trace(c_mat.conj().T @ rc)))
         return r_op, rc, float(np.max(np.abs(rc - mu * c_mat)))
@@ -383,7 +389,7 @@ def trml(records, r: int) -> EstimatorReport:
                 converged = True
                 break
         if residual <= newton_below:
-            cand = c + _newton_step(povm, freq, p, c, r_op)
+            cand = c + _newton_step(povm_m, freq_m, p, c, r_op)
             cand /= np.linalg.norm(cand)
             ll_cand, p_cand = loglik_of(cand)
             r_cand = residual_of(cand, p_cand)
@@ -409,10 +415,12 @@ def trml(records, r: int) -> EstimatorReport:
     est = hermitize(c @ c.conj().T)
     est /= np.real(np.trace(est))
     fit = DensityMatrix(records.dims, est)
+    if r == d:   # only here can the anchor be returned, so only here checked
+        anchor = DensityMatrix(records.dims, anchor)
     if r == d and (log_likelihood(anchor, records)
                    >= log_likelihood(fit, records)):
         fit, rho = anchor, anchor.mat
-        r_op = _likelihood_operator(povm, freq, _probs(povm, rho))
+        r_op = _likelihood_operator(povm_m, freq_m, _probs(povm, rho)[mask])
         converged = float(np.max(np.abs(r_op @ rho - rho))) <= FIXED_POINT_TOL
     return EstimatorReport(estimate=fit, rank_used=r, iterations=it,
                            converged=converged)

@@ -13,7 +13,7 @@ given.
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -110,6 +110,27 @@ class SettingStack(tuple):
             raise ValueError("a step's settings must share one outcome count")
         self.elements = np.concatenate([s.povm.elements for s in self])
         return self
+
+    @cached_property
+    def design(self) -> np.ndarray:
+        """_real_design of the elements, computed once and read-only."""
+        design = _real_design(self.elements)
+        design.setflags(write=False)
+        return design
+
+
+_triu = lru_cache(maxsize=None)(np.triu_indices)
+
+
+def _real_design(povm: np.ndarray) -> np.ndarray:
+    """Design matrix of the map (Hermitian X) -> Tr(X P_k) in the real
+    parametrization (diagonal, 2 Re upper, 2 Im upper)."""
+    d = povm.shape[1]
+    iu = _triu(d, 1)
+    diag = povm[:, np.arange(d), np.arange(d)].real
+    re = 2.0 * povm[:, iu[0], iu[1]].real
+    im = 2.0 * povm[:, iu[0], iu[1]].imag
+    return np.hstack([diag, re, im])
 
 
 def basis_povm(u: np.ndarray) -> Povm:

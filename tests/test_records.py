@@ -11,9 +11,9 @@ from qtbench.engine import (CampaignConfig, born_probabilities, parse_method,
 from qtbench.estimators import (MeasurementRecord, RecordStack, arml,
                                 chi2_statistic, frls, frml, log_likelihood,
                                 ppi, trml)
-from qtbench.protocols import (MeasurementSpec, SettingStack, basis_povm,
-                               fmub_protocol, mub_protocol)
-from qtbench.qcore import DensityMatrix, haar_unitary
+from qtbench.protocols import (MeasurementSpec, SettingStack, _real_design,
+                               basis_povm, fmub_protocol, mub_protocol)
+from qtbench.qcore import DensityMatrix, fidelity, haar_unitary
 from qtbench.states import gen_rps, generate_state
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -74,6 +74,34 @@ class TestPinnedFrls:
                     r = run_experiment(config, n, run)
                     h.update(repr((r.fidelity, r.iterations,
                                    r.converged)).encode())
+        assert h.hexdigest() == self.PINNED_DIGEST
+
+
+class TestPinnedNewton:
+    # sha256 as TestPinnedOutputs' over fits of rank r > 1, whose Newton
+    # steps move several root columns: runs 0-2, base seed 7, test rps,
+    # N = 10^3 and 10^4. Computed on the code from before the fit hoisted
+    # its nonzero-count stack and assembled the Hessian in place (np.kron
+    # and np.block, povm[mask] copied per call), which these bits pin.
+    CASES = [("fmub+trml:2", (2, 2)), ("fmub+trml:3", (2, 2)),
+             ("fmub+frml", (2, 2))]
+    PINNED_DIGEST = \
+        "4c4c3d8808a660831cdcd1314a6f6904305c993585b96744fe82152bf6bcba0b"
+
+    def test_rank_above_one_runs_match_pinned_digest(self):
+        h = hashlib.sha256()
+        for method, dims in self.CASES:
+            protocol, estimator = parse_method(method)
+            config = CampaignConfig(dims=dims, test="rps", protocol=protocol,
+                                    estimator=estimator,
+                                    n_grid=(1000, 10_000), runs_per_n=3,
+                                    base_seed=7)
+            for n in config.n_grid:
+                for run in range(config.runs_per_n):
+                    r = run_experiment(config, n, run)
+                    h.update(repr((r.fidelity, r.bases_count, r.failed,
+                                   r.error, r.iterations, r.converged,
+                                   r.rank_used)).encode())
         assert h.hexdigest() == self.PINNED_DIGEST
 
 
@@ -185,6 +213,127 @@ class TestBatchedStep:
         monkeypatch.setattr(engine, "generate_state", lambda *args: rho)
         res = run_experiment(_config("fmub+ppi", (2, 2), 900), 900, 0)
         assert res.failed and res.error == first
+
+    # two-outcome raw element stacks on one qubit, as a step builder that
+    # skips the Povm checks hands them over; at I/2: ok, sums to 0.75,
+    # non-finite, a -0.25 probability
+    RAW = {"ok": [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
+           "sum": [np.diag([1.0, 0.0]), np.diag([0.0, 0.5])],
+           "nan": [np.diag([np.nan, 0.0]), np.diag([0.0, 1.0])],
+           "neg": [np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])]}
+
+    @pytest.mark.parametrize("kinds,error", [
+        ("ok sum nan", "Born probabilities sum to 0.75, not 1"),
+        ("ok nan sum", "Born probabilities are not finite"),
+        ("neg sum", "negative Born probability -2.500e-01"),
+        ("sum neg", "Born probabilities sum to 0.75, not 1")])
+    def test_stacked_settings_raise_the_first_failing_settings_error(
+            self, kinds, error):
+        settings = [np.array(self.RAW[k], dtype=complex)
+                    for k in kinds.split()]
+        first = None
+        for elements in settings:   # the per-setting reference
+            try:
+                engine._born(MIXED, elements, 1)
+            except ValueError as exc:
+                first = first or str(exc)
+        assert first == error
+        with pytest.raises(ValueError) as info:
+            engine._born(MIXED, np.concatenate(settings), len(settings))
+        assert str(info.value) == error
+
+
+# --- the container's checks ------------------------------------------------------
+
+def _fmub_counts(shots):
+    """fmub 2,2 counts, one row per setting, each summing to its shots."""
+    return np.array([[k - 3 * (k // 4)] + [k // 4] * 3 for k in shots],
+                    dtype=float)
+
+
+class TestRecordStackChecks:
+    @pytest.mark.parametrize("rows,n_shots", [(9, 8), (3, 9)])
+    def test_append_rejects_counts_or_shots_of_another_length(self, rows,
+                                                              n_shots):
+        # at rows 9 and 8 shots, 36 counts went in against 32 shots; at
+        # rows 3, 3 settings over all 36 elements
+        shots = [100] * n_shots
+        stack = RecordStack()
+        with pytest.raises(ValueError, match="9 settings of 4 outcomes do "
+                                             "not match counts of shape"):
+            stack.append(fmub_protocol((2, 2)), _fmub_counts([100] * rows),
+                         shots)
+        assert len(stack) == 0
+
+    def test_nan_counts_fail_at_the_record(self):
+        spec = replace(fmub_protocol((2, 2))[0], shots=100)
+        with pytest.raises(ValueError, match="^counts sum nan does not "
+                                             "match shots 100$"):
+            MeasurementRecord(spec, [np.nan, 50, 25, 25])
+        counts = _fmub_counts([100] * 9)
+        counts[4, 0] = np.nan
+        with pytest.raises(ValueError, match="^counts sum nan does not "
+                                             "match shots 100$"):
+            RecordStack().append(fmub_protocol((2, 2)), counts, [100] * 9)
+
+    def test_append_raises_the_first_failing_settings_error(self):
+        settings, shots = fmub_protocol((2, 2)), [100] * 9
+        counts = _fmub_counts(shots)
+        counts[2, 0] -= 1.0   # sums to 99
+        counts[6, 1] -= 2.0   # sums to 98
+        first = None
+        for spec, k, row in zip(settings, shots, counts):
+            try:   # the per-setting reference
+                MeasurementRecord(replace(spec, shots=k), row)
+            except ValueError as exc:
+                first = first or str(exc)
+        assert first == "counts sum 99.0 does not match shots 100"
+        with pytest.raises(ValueError) as info:
+            RecordStack().append(settings, counts, shots)
+        assert str(info.value) == first
+
+
+class TestDesignCache:
+    def _one_step(self, rng):
+        """A sampled fmub 2,2 run as one engine step, its state and its
+        records as a list."""
+        rho, settings = gen_rps((2, 2), rng), fmub_protocol((2, 2))
+        shots = [int(k) for k in rng.integers(50, 500, size=len(settings))]
+        counts = rng.multinomial(
+            shots, engine._born(rho, settings.elements, len(settings)))
+        stack = RecordStack()
+        stack.append(settings, counts, shots)
+        return rho, stack, [MeasurementRecord(replace(s, shots=k), c)
+                            for s, k, c in zip(settings, shots, counts)]
+
+    def test_static_step_reads_its_settings_design(self):
+        _, stack, _ = self._one_step(np.random.default_rng(21))
+        settings = fmub_protocol((2, 2))
+        assert stack.design is settings.design
+        assert not stack.design.flags.writeable
+        assert np.array_equal(settings.design,
+                              _real_design(settings.elements))
+
+    def test_second_step_gets_a_design_of_its_own(self):
+        rng = np.random.default_rng(22)
+        _, stack, _ = self._one_step(rng)
+        assert stack.design is fmub_protocol((2, 2)).design
+        basis = SettingStack([MeasurementSpec(basis_povm(haar_unitary(4, rng)),
+                                              dims=(2, 2))])
+        stack.append(basis, [[10, 20, 30, 40]], [100])
+        assert stack.design.shape == (40, 16)
+        assert np.array_equal(stack.design, _real_design(stack.elements))
+        assert np.array_equal(stack.design[:36], fmub_protocol((2, 2)).design)
+
+    @pytest.mark.parametrize("fit", [ppi, partial(trml, r=1), frml, arml,
+                                     frls])
+    def test_cached_and_stacked_designs_give_identical_reports(self, fit):
+        rho, stack, records = self._one_step(np.random.default_rng(23))
+
+        def key(report):
+            return (repr(fidelity(rho, report.estimate)),
+                    *_report_key(report))
+        assert key(fit(stack)) == key(fit(RecordStack.of(records)))
 
 
 # --- estimators on a list and on the container ---------------------------------
