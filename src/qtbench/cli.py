@@ -106,17 +106,6 @@ def _build_config(args) -> CampaignConfig:
                           estimator=estimator, n_grid=grid, **given)
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        workers = args.workers
-    else:
-        env = os.environ.get("QTBENCH_WORKERS")
-        workers = int(env) if env else 1
-    if workers < 1:
-        raise ConfigError(f"need at least one worker, got {workers}")
-    return workers
-
-
 def _file_stem(method: str) -> str:
     """A method identifier as it appears in output file names."""
     return method.replace("+", "-").replace(":", "")
@@ -129,7 +118,8 @@ def _raw_path(out_dir: str, config: CampaignConfig) -> str:
 
 def cmd_analyze(args) -> int:
     config = _build_config(args)
-    workers = _workers(args)
+    if args.workers < 1:
+        raise ConfigError(f"need at least one worker, got {args.workers}")
     os.makedirs(args.out, exist_ok=True)
     path = _raw_path(args.out, config)
     total = len(config.n_grid) * config.runs_per_n
@@ -153,7 +143,7 @@ def cmd_analyze(args) -> int:
                   file=sys.stderr)
 
         try:
-            run_campaign(config, workers=workers, on_batch=on_batch)
+            run_campaign(config, workers=args.workers, on_batch=on_batch)
         except CampaignError as exc:
             print(f"campaign failed: {exc}", file=sys.stderr)
             return 1
@@ -261,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--runs", type=int, default=None,
                       help="runs per sample size (default 1000)")
     p_an.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
-    p_an.add_argument("--workers", type=int, default=None,
-                      help="parallel workers (default $QTBENCH_WORKERS or 1)")
+    p_an.add_argument("--workers", type=int, default=1,
+                      help="parallel workers (default 1)")
     p_an.add_argument("--out", default=".", help="output directory")
     p_an.add_argument("--config", help="key=value campaign manifest "
                       "(flags take precedence)")

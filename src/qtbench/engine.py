@@ -293,8 +293,6 @@ def sample_counts(probs: np.ndarray, shots: int,
     """Multinomial outcome counts for one measurement setting."""
     if shots < 0:
         raise ValueError("shots must be nonnegative")
-    if shots == 0:
-        return np.zeros(len(probs), dtype=np.int64)
     return rng.multinomial(shots, probs)
 
 

@@ -10,7 +10,6 @@ rank d, anchored at the pseudo-inversion point), and rank selection by
 chi-squared adequacy (arml).
 """
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,39 +62,35 @@ def _check_counts(counts: np.ndarray, shots):
 
 
 class RecordStack:
-    """A run's records stacked setting after setting: ``elements`` (K, d, d),
+    """A run's records stacked setting after setting, every setting with the
+    one outcome count ``outcomes`` its first step set: ``elements`` (K, d, d),
     the outcomes' POVM elements; ``counts`` and ``shots`` (K,), floats, a
-    setting's shots repeated on each of its outcomes; ``offsets``, setting i
-    owning outcomes offsets[i] to offsets[i + 1]. Layout: as SettingStack's."""
+    setting's shots repeated on each of its outcomes. Layout: as
+    SettingStack's."""
 
     def __init__(self):
-        self.dims, self.offsets, self._step = None, [0], None
+        self.dims = self.outcomes = self._step = None
 
     @classmethod
     def of(cls, records) -> "RecordStack":
         """records if a RecordStack, else a list of MeasurementRecord
-        stacked; either must hold a setting."""
+        appended as one step; either must hold a setting."""
         if not isinstance(records, cls):
             records, stack = list(records), cls()
             if any(r.spec.povm.d != records[0].spec.povm.d for r in records):
                 raise ValueError(
                     "records mix different Hilbert-space dimensions")
             if records:
-                sizes = [r.spec.povm.n_outcomes for r in records]
-                stack.dims = records[0].spec.dims
-                stack.offsets += itertools.accumulate(sizes)
-                stack.elements = np.concatenate(
-                    [r.spec.povm.elements for r in records])
-                stack.counts = np.concatenate([r.counts for r in records])
-                stack.shots = np.repeat([float(r.spec.shots) for r in records],
-                                        sizes)
+                stack.append(SettingStack(r.spec for r in records),
+                             [r.counts for r in records],
+                             [r.spec.shots for r in records])
             records = stack
         if not len(records):
             raise ValueError("no measurement records")
         return records
 
     def __len__(self) -> int:
-        return len(self.offsets) - 1
+        return self.counts.size // self.outcomes if self.outcomes else 0
 
     @property
     def d(self) -> int:
@@ -109,24 +104,26 @@ class RecordStack:
                 else self._step.design)
 
     def append(self, settings: SettingStack, counts, shots):
-        """Add a step's settings, counts (settings, outcomes) and shots."""
+        """Add a step's settings, counts (settings, outcomes) and shots; its
+        outcome count must be the stack's."""
         counts = np.asarray(counts, dtype=float)
         outcomes = settings[0].povm.n_outcomes
+        if self.outcomes not in (None, outcomes):
+            raise ValueError(f"a run's settings must share one outcome count: "
+                             f"{outcomes} after {self.outcomes}")
         if (counts.shape != (len(settings), outcomes)
                 or np.shape(shots) != (len(settings),)):
             raise ValueError(
                 f"{len(settings)} settings of {outcomes} outcomes do not match "
                 f"counts of shape {counts.shape} and {np.size(shots)} shots")
         _check_counts(counts, shots)
-        start = self.offsets[-1]
-        self.offsets += range(start + outcomes, start + counts.size + 1,
-                              outcomes)
         new = (settings.elements, counts.ravel(),
                np.repeat(np.asarray(shots, dtype=float), outcomes))
-        if start:
+        if self.outcomes:
             new = [np.concatenate(pair) for pair in
                    zip((self.elements, self.counts, self.shots), new)]
-        self.dims, self._step = settings[0].dims, None if start else settings
+        self._step = None if self.outcomes else settings
+        self.dims, self.outcomes = settings[0].dims, outcomes
         self.elements, self.counts, self.shots = new
         self.__dict__.pop("design", None)
 
@@ -440,10 +437,11 @@ def chi2_statistic(records, rho_fit: DensityMatrix, r: int) -> tuple[float, int]
     stat = 0.0
     dof = -nu(rho_fit.d, r)
     p = np.clip(_probs(records.elements, rho_fit.mat), 0.0, None)
-    counts, shots = records.counts, records.shots
-    for start, end in itertools.pairwise(records.offsets):
-        expected = p[start:end] * shots[start]
-        observed = counts[start:end].copy()
+    m = records.outcomes
+    for p_s, n_s, shots in zip(p.reshape(-1, m), records.counts.reshape(-1, m),
+                               records.shots[::m]):
+        expected = p_s * shots
+        observed = n_s.copy()
         # merge structurally impossible outcomes that were indeed never seen;
         # an observed count on a near-zero expectation is divergent evidence
         # against the model and must keep its (floored) contribution

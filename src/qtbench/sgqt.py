@@ -80,9 +80,8 @@ class SgqtHandler(QueuedHandler):
         if len(records) // 2 < self.k:   # pair k is not measured yet
             return
         records = RecordStack.of(records)
-        # the first outcome of each of the last two settings
-        f_plus, f_minus = (records.counts[i] / records.shots[i]
-                           for i in records.offsets[-3:-1])
+        # the first of the two outcomes of each of the last two settings
+        f_plus, f_minus = records.counts[-4::2] / records.shots[-4::2]
         beta = SGQT_b / (self.k + 1) ** SGQT_t
         alpha = SGQT_a / (self.k + 1 + SGQT_A) ** SGQT_s
         grad = (f_plus - f_minus) / (2.0 * beta) * self._delta

@@ -307,22 +307,18 @@ class TestConfigKeys:
             [(n, run) for n in (200, 400) for run in range(3)]
 
 
-class TestWorkersFromEnvironment:
-    def test_env_variable_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QTBENCH_WORKERS", "2")
-        assert run_analyze(tmp_path) == 0
+class TestWorkersFlag:
+    def test_two_workers_write_the_same_raw_file(self, tmp_path):
+        assert run_analyze(tmp_path, extra=("--workers", "2")) == 0
         ref = tmp_path / "ref"
-        monkeypatch.delenv("QTBENCH_WORKERS")
-        run_analyze(ref)
+        assert run_analyze(ref) == 0
         assert canonical_raw(tmp_path / "raw_rps_fmub-ppi.jsonl") == \
             canonical_raw(ref / "raw_rps_fmub-ppi.jsonl")
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_fewer_than_one_worker_exits_2_without_output(
-            self, tmp_path, monkeypatch, capsys, workers):
+            self, tmp_path, capsys, workers):
         out = tmp_path / "x"
         assert run_analyze(out, extra=("--workers", workers)) == 2
         assert "at least one worker" in capsys.readouterr().err
-        monkeypatch.setenv("QTBENCH_WORKERS", workers)
-        assert run_analyze(out) == 2
         assert not out.exists()

@@ -87,8 +87,12 @@ class TestBornProbabilities:
 class TestSampleCounts:
     def test_zero_shots(self):
         rng = np.random.default_rng(101)
-        np.testing.assert_array_equal(sample_counts(np.array([0.5, 0.5]), 0, rng),
-                                      [0, 0])
+        counts = sample_counts(np.array([0.5, 0.5]), 0, rng)
+        np.testing.assert_array_equal(counts, [0, 0])
+        assert counts.dtype == np.int64
+        # nothing is drawn
+        assert (rng.bit_generator.state
+                == np.random.default_rng(101).bit_generator.state)
 
     def test_deterministic_outcome(self):
         rng = np.random.default_rng(102)

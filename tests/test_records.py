@@ -12,7 +12,8 @@ from qtbench.estimators import (MeasurementRecord, RecordStack, arml,
                                 chi2_statistic, frls, frml, log_likelihood,
                                 ppi, trml)
 from qtbench.protocols import (MeasurementSpec, SettingStack, _real_design,
-                               basis_povm, fmub_protocol, mub_protocol)
+                               basis_povm, fmub_protocol, mub_protocol,
+                               pauli_protocol)
 from qtbench.qcore import DensityMatrix, fidelity, haar_unitary
 from qtbench.states import gen_rps, generate_state
 
@@ -139,7 +140,7 @@ def _per_setting_run(config, n_total, run_index):
 
 
 def _assert_same_stack(a: RecordStack, b: RecordStack):
-    assert a.dims == b.dims and a.offsets == b.offsets
+    assert (a.dims, a.outcomes, len(a)) == (b.dims, b.outcomes, len(b))
     for name in ("elements", "counts", "shots"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
@@ -243,6 +244,55 @@ class TestBatchedStep:
         assert str(info.value) == error
 
 
+class TestMethodPairing:
+    # a run's streams are keyed on (base seed, test, N, run), not on the
+    # method, so the methods compared at one run share its state and, with
+    # one protocol, its records
+    METHODS = ("fmub+ppi", "fmub+trml:1", "fo+trml:1")
+
+    def _runs(self, method, monkeypatch):
+        """Per run 0-2 at N = 1000: the run's seed, its true state's bytes
+        and the records its estimator was handed."""
+        states, seen = [], []
+        generate, resolve = engine.generate_state, engine.resolve_method
+
+        def spying_generate(*args):
+            rho = generate(*args)
+            states.append(rho.mat.tobytes())
+            return rho
+
+        def spying_resolve(config, n_total, rng):
+            handler, estimator = resolve(config, n_total, rng)
+
+            def spy(records):
+                seen.append(records)
+                return estimator(records)
+            return handler, spy
+
+        monkeypatch.setattr(engine, "generate_state", spying_generate)
+        monkeypatch.setattr(engine, "resolve_method", spying_resolve)
+        config = _config(method, (2, 2), 1000)
+        seeds = []
+        for run in range(3):
+            res = run_experiment(config, 1000, run)
+            assert not res.failed
+            seeds.append(res.seed)
+        monkeypatch.undo()
+        return seeds, states, seen
+
+    def test_methods_share_seeds_states_and_static_records(self,
+                                                           monkeypatch):
+        runs = {m: self._runs(m, monkeypatch) for m in self.METHODS}
+        seeds, states, _ = runs["fmub+ppi"]
+        assert len(set(seeds)) == 3 and len(states) == 3
+        for method in self.METHODS[1:]:
+            assert runs[method][:2] == (seeds, states)
+        records = runs["fmub+ppi"][2]
+        assert len(records) == 3
+        for a, b in zip(records, runs["fmub+trml:1"][2], strict=True):
+            assert a.counts.tobytes() == b.counts.tobytes()
+
+
 # --- the container's checks ------------------------------------------------------
 
 def _fmub_counts(shots):
@@ -291,6 +341,27 @@ class TestRecordStackChecks:
         with pytest.raises(ValueError) as info:
             RecordStack().append(settings, counts, shots)
         assert str(info.value) == first
+
+    def test_append_rejects_another_outcome_count(self):
+        stack = RecordStack()
+        assert len(stack) == 0
+        stack.append(fmub_protocol((2, 2)), _fmub_counts([100] * 9),
+                     [100] * 9)
+        with pytest.raises(ValueError, match="^a run's settings must share "
+                                             "one outcome count: 2 after 4$"):
+            stack.append(pauli_protocol(2), [[50, 50]] * 15, [100] * 15)
+        assert (len(stack), stack.outcomes, stack.counts.size) == (9, 4, 36)
+        stack.append(SettingStack(fmub_protocol((2, 2))[:2]),
+                     _fmub_counts([60, 80]), [60, 80])
+        assert len(stack) == 11
+
+    def test_list_of_mixed_outcome_counts_raises(self):
+        records = [MeasurementRecord(replace(spec, shots=100), counts)
+                   for spec, counts in [
+                       (fmub_protocol((2, 2))[0], [40, 20, 20, 20]),
+                       (pauli_protocol(2)[0], [50, 50])]]
+        with pytest.raises(ValueError, match="share one outcome count"):
+            RecordStack.of(records)
 
 
 class TestDesignCache:
