@@ -95,7 +95,7 @@ def _build_config(args) -> CampaignConfig:
     if not {"dims", "test", "method"} <= values.keys():
         raise ConfigError("dims, test and method are required (flags or config file)")
     dims = _parse_dims(values["dims"])
-    test = TestKind.from_id(values["test"])
+    test = TestKind(values["test"])
     protocol, estimator = parse_method(values["method"])
     given = {field: cast(values[key]) for key, field, cast in (
         ("fb", "f_target", float), ("runs", "runs_per_n", int),
@@ -190,7 +190,7 @@ def cmd_report(args) -> int:
             raise ConfigError(f"duplicate method row {method!r}")
         methods.append(method)
 
-    test = TestKind.from_id(first["test"])
+    test = TestKind(first["test"])
     dims = first["dims"]
     d = int(np.prod(dims))
     r_true = rank_for_test(test, d)
@@ -222,7 +222,7 @@ def cmd_report(args) -> int:
 
 def cmd_lowerbound(args) -> int:
     dims = _parse_dims(args.dims)
-    test = TestKind.from_id(args.test)
+    test = TestKind(args.test)
     d = int(np.prod(dims))
     r = rank_for_test(test, d)
     v = nu(d, r)
@@ -239,10 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qtbench",
         description="Benchmarking engine for quantum state tomography methods")
     sub = parser.add_subparsers(dest="command", required=True)
+    test_ids = " | ".join(kind.value for kind in TestKind)
 
     p_an = sub.add_parser("analyze", help="run a campaign, write raw JSON-lines")
     p_an.add_argument("--dims", help="subsystem dimensions, e.g. 2,2")
-    p_an.add_argument("--test", help="rps | rmspt2 | rmsptd | rnp")
+    p_an.add_argument("--test", help=test_ids)
     p_an.add_argument("--method", help="protocol+estimator (e.g. fmub+trml:1) or sgqt")
     p_an.add_argument("--fb", type=float, default=None,
                       help="target fidelity (default 0.999)")
@@ -266,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lb = sub.add_parser("lowerbound", help="theoretical lower bound")
     p_lb.add_argument("--dims", required=True)
-    p_lb.add_argument("--test", required=True)
+    p_lb.add_argument("--test", required=True, help=test_ids)
     p_lb.add_argument("--fb", type=float, default=0.999)
     p_lb.set_defaults(func=cmd_lowerbound)
     return parser

@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .estimators import RecordStack, arml, frls, frml, ppi, trml
+from .estimators import RecordStack, _probs, arml, frls, frml, ppi, trml
 from .protocols import (
     AmubHandler,
     FoHandler,
@@ -45,10 +45,6 @@ class ConfigError(ValueError):
 
 class CampaignError(RuntimeError):
     """Raised when more than 1% of a campaign's runs failed."""
-
-
-_TEST_CODE = {TestKind.RPS: 1, TestKind.RMSPT2: 2, TestKind.RMSPTD: 3,
-              TestKind.RNP: 4}
 
 
 # --- the method registry -------------------------------------------------------
@@ -216,8 +212,7 @@ class CampaignConfig:
 
     def __post_init__(self):
         self.dims = check_dims(self.dims)
-        if isinstance(self.test, str):
-            self.test = TestKind.from_id(self.test)
+        self.test = TestKind(self.test)
         self.n_grid = tuple(int(x) for x in self.n_grid)
         if not self.n_grid:
             raise ConfigError("empty sample-size grid")
@@ -230,8 +225,9 @@ class CampaignConfig:
         if self.base_seed < 0:
             raise ConfigError("base seed must be nonnegative")
         validate_method(self.protocol, self.estimator, self.dims)
-        if self.test is TestKind.RNP and any(x != 2 for x in self.dims):
-            raise ConfigError("test 'rnp' is defined for qubit registers only")
+        if self.test.qubits_only and any(x != 2 for x in self.dims):
+            raise ConfigError(f"test {self.test.value!r} is defined for qubit "
+                              "registers only")
         check_min_n(self, self.n_grid[0])
 
     @property
@@ -274,7 +270,7 @@ def _born(rho: DensityMatrix, elements: np.ndarray, settings: int):
     if rho.d != elements.shape[1]:
         raise ValueError(
             f"dimension mismatch: state {rho.d}, POVM {elements.shape[1]}")
-    p = np.real(np.einsum("kij,ji->k", elements, rho.mat)).reshape(settings, -1)
+    p = _probs(elements, rho.mat).reshape(settings, -1)
     low = p.min(axis=1)
     p = np.clip(p, 0.0, None)
     total = p.sum(axis=1)
@@ -291,13 +287,11 @@ def _born(rho: DensityMatrix, elements: np.ndarray, settings: int):
 def sample_counts(probs: np.ndarray, shots: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Multinomial outcome counts for one measurement setting."""
-    if shots < 0:
-        raise ValueError("shots must be nonnegative")
     return rng.multinomial(shots, probs)
 
 
 def _run_seed(config: CampaignConfig, n_total: int, run_index: int):
-    entropy = (config.base_seed, _TEST_CODE[config.test], n_total, run_index)
+    entropy = (config.base_seed, config.test.code, n_total, run_index)
     ss = np.random.SeedSequence(entropy)
     seed_int = int(ss.generate_state(1, np.uint64)[0])
     state_ss, proto_ss, sample_ss = ss.spawn(3)

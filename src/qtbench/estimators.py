@@ -349,7 +349,6 @@ def trml(records, r: int) -> EstimatorReport:
     anchor = _ppi_matrix(records)
     w, v = eig_hermitian(anchor)
     lam = 0.95 * w[:r] + 0.05 / r  # keep every root column populated
-    lam = np.clip(lam, 1e-12, None)
     lam /= lam.sum()
     c = v[:, :r] * np.sqrt(lam)
 

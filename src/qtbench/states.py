@@ -3,7 +3,8 @@
 Four state classes are covered: random pure states, random mixed states
 obtained by tracing out an ancilla (one qubit or a full copy of the system),
 and noisy register preparations combining initialization errors with
-depolarization.
+depolarization. TestKind holds one row per test, everything the engine,
+statistics and CLI know of it.
 """
 
 import enum
@@ -11,23 +12,6 @@ import enum
 import numpy as np
 
 from .qcore import DensityMatrix, PureState, haar_unitary, haar_vector
-
-
-class TestKind(enum.Enum):
-    __test__ = False  # not a pytest class, despite the name
-
-    RPS = "rps"
-    RMSPT2 = "rmspt2"
-    RMSPTD = "rmsptd"
-    RNP = "rnp"
-
-    @classmethod
-    def from_id(cls, name: str) -> "TestKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ValueError(f"unknown test id {name!r}; expected one of "
-                         f"{[k.value for k in cls]}")
 
 
 def gen_rps(dims, rng: np.random.Generator) -> DensityMatrix:
@@ -128,14 +112,35 @@ def depolarizing_weight(sigma: float, d: int) -> float:
     return d / (d - 1.0) * (sigma**2 - 0.75 * sigma**4)
 
 
+class TestKind(enum.Enum):
+    """The benchmark tests, one row each: the id raw files and names carry,
+    the code keying each run's random streams, the structural rank of the
+    test's states (None for full rank d), whether it is defined for qubit
+    registers only, and the generator drawing its true states."""
+
+    __test__ = False  # not a pytest class, despite the name
+
+    RPS = "rps", 1, 1, False, gen_rps
+    RMSPT2 = "rmspt2", 2, 2, False, lambda dims, rng: gen_rmspt(dims, 2, rng)
+    RMSPTD = ("rmsptd", 3, None, False,
+              lambda dims, rng: gen_rmspt(dims, int(np.prod(dims)), rng))
+    RNP = "rnp", 4, None, True, gen_rnp
+
+    def __new__(cls, test_id, code, rank, qubits_only, generate):
+        member = object.__new__(cls)
+        member._value_ = test_id
+        member.code = code
+        member.rank = rank
+        member.qubits_only = qubits_only
+        member.generate = generate
+        return member
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown test id {value!r}; expected one of "
+                         f"{[k.value for k in cls]}")
+
+
 def generate_state(kind: TestKind, dims, rng: np.random.Generator) -> DensityMatrix:
-    """Dispatch a true-state draw for the given benchmark test."""
-    if kind is TestKind.RPS:
-        return gen_rps(dims, rng)
-    if kind is TestKind.RMSPT2:
-        return gen_rmspt(dims, 2, rng)
-    if kind is TestKind.RMSPTD:
-        return gen_rmspt(dims, int(np.prod(dims)), rng)
-    if kind is TestKind.RNP:
-        return gen_rnp(dims, rng)
-    raise ValueError(f"unhandled test kind {kind}")
+    """A true-state draw for the given benchmark test."""
+    return kind.generate(dims, rng)

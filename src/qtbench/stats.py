@@ -195,8 +195,7 @@ def interpolate_at_NB(n_values, values, n_b: float) -> float:
 def rank_for_test(test: TestKind, d: int) -> int:
     """Structural rank of each benchmark test's state class, used for the
     lower bound and efficiency."""
-    return {TestKind.RPS: 1, TestKind.RMSPT2: 2,
-            TestKind.RMSPTD: d, TestKind.RNP: d}[test]
+    return test.rank or d
 
 
 def build_curve(results) -> PercentileCurve:

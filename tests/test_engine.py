@@ -105,6 +105,10 @@ class TestSampleCounts:
         assert abs(counts[0] - 500_000) < 3 * 500  # 3 sigma
         assert counts.sum() == 1_000_000
 
+    def test_negative_shots_raise(self):
+        with pytest.raises(ValueError):
+            sample_counts(np.array([0.5, 0.5]), -1, np.random.default_rng(104))
+
 
 class TestMethodValidation:
     def test_parse_method(self):

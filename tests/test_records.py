@@ -106,6 +106,34 @@ class TestPinnedNewton:
         assert h.hexdigest() == self.PINNED_DIGEST
 
 
+class TestPinnedTests:
+    # sha256 over repr((test id, method, seed, fidelity, M, failed, error,
+    # iterations, converged, rank_used)) at full precision of runs 0-2, base
+    # seed 7, N = 10^3, dims 2,2, for every benchmark test: pins each test's
+    # seed code and state generator
+    TESTS = ("rps", "rmspt2", "rmsptd", "rnp")
+    METHODS = ("fmub+ppi", "fmub+frml", "amub+trml:1")
+    PINNED_DIGEST = \
+        "338f9b204bdf0bba08ada2c18a3f11636f79dfe4a731b5f11ae4507c32be5977"
+
+    def test_every_test_matches_pinned_digest(self):
+        h = hashlib.sha256()
+        for test in self.TESTS:
+            for method in self.METHODS:
+                protocol, estimator = parse_method(method)
+                config = CampaignConfig(dims=(2, 2), test=test,
+                                        protocol=protocol, estimator=estimator,
+                                        n_grid=(1000,), runs_per_n=3,
+                                        base_seed=7)
+                for run in range(config.runs_per_n):
+                    r = run_experiment(config, 1000, run)
+                    h.update(repr((test, method, r.seed, r.fidelity,
+                                   r.bases_count, r.failed, r.error,
+                                   r.iterations, r.converged,
+                                   r.rank_used)).encode())
+        assert h.hexdigest() == self.PINNED_DIGEST
+
+
 # --- the engine's batched step against the per-setting public calls ----------
 
 STEP_CASES = [("mub+ppi", (2, 2)), ("mub+ppi", (3,)), ("fmub+ppi", (2, 2)),

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,16 @@ from qtbench.states import (
 class TestTestKind:
     def test_ids_round_trip(self):
         for name in ("rps", "rmspt2", "rmsptd", "rnp"):
-            assert TestKind.from_id(name).value == name
+            assert TestKind(name).value == name
 
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown test id"):
-            TestKind.from_id("bogus")
+            TestKind("bogus")
+
+    def test_members_pickle_to_themselves(self):
+        # pool workers receive the campaign's test by pickling
+        for kind in TestKind:
+            assert pickle.loads(pickle.dumps(kind)) is kind
 
 
 def purity(rho):
