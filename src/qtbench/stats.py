@@ -2,8 +2,10 @@
 benchmark sample size, theoretical lower bounds, efficiency, and the
 medcouple-adjusted outlier analysis."""
 
+import contextlib
 import csv
 import json
+import os
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -94,18 +96,133 @@ def efficiency(mean_infidelity: float, n: float, d: int, r: int) -> float:
     return v * v / (4.0 * n * (d - 1) * mean_infidelity)
 
 
-def medcouple(sample) -> float:
-    """Robust skewness in [-1, 1]: the median of the kernel
-    h(x+, x-) = ((x+ - Q2) - (Q2 - x-)) / (x+ - x-) over pairs strictly above
-    and below the median. Pairs of values tied at the median contribute the
-    signed kernel (+1/-1 by position), which is skew-neutral.
+def _require_finite(v: np.ndarray, what: str):
+    bad = int(np.count_nonzero(~np.isfinite(v)))
+    if bad:
+        raise ValueError(f"{what} needs finite values: {bad} of {v.size} "
+                         "are NaN or infinite")
 
-    Memory is O(n^2): the kernel is formed over all (n/2)^2 pairs, and each
-    temporary holds about 8 (n/2)^2 bytes, about 800 MB at n = 20000 runs
-    per sample size, with several such temporaries alive at once."""
+
+def _kernel(hi, lo, med):
+    """The medcouple kernel of values hi above and lo below the median."""
+    return ((hi - med) - (med - lo)) / (hi - lo)
+
+
+def _bits(x) -> int:
+    """The float64 bit pattern of x >= +0.0, which orders like x."""
+    return int(np.float64(x).view(np.int64))
+
+
+def _float(bits: int) -> float:
+    return float(np.int64(bits).view(np.float64))
+
+
+def _count_at_most(hi, lo, med, t, first, last):
+    """Per row i, the number of kernels h(hi[i], lo[j]) <= t, found by
+    bisection between first[i] and last[i], which must bracket it."""
+    a, b = first.copy(), last.copy()
+    rows = np.flatnonzero(a < b)
+    while rows.size:
+        mid = (a[rows] + b[rows]) // 2
+        at_most = _kernel(hi[rows], lo[mid], med) <= t
+        a[rows[at_most]] = mid[at_most] + 1
+        b[rows[~at_most]] = mid[~at_most]
+        rows = rows[a[rows] < b[rows]]
+    return a
+
+
+def _negative_counts(hi, lo, med):
+    """Per row, the number of negative kernels, which open the row. They are
+    the kernels <= -5e-324: a nonzero numerator is at least about 2^-54 of
+    the denominator, so no kernel rounds to -0.0."""
+    return _count_at_most(hi, lo, med, np.nextafter(0.0, -1.0),
+                          np.zeros(hi.size, np.intp),
+                          np.full(hi.size, lo.size, np.intp))
+
+
+def _smallest_from(hi, lo, med, cols):
+    """The smallest of the kernels h(hi[i], lo[cols[i]]) over the rows where
+    cols[i] is a column."""
+    rows = np.flatnonzero(cols < lo.size)
+    return _kernel(hi[rows], lo[cols[rows]], med).min()
+
+
+def _select_nonnegative(hi, lo, med, first, k1, k2):
+    """The k1-th and k2-th smallest kernels (from 0, k2 - k1 <= 1) when both
+    are >= 0; first[i] counts row i's negative kernels.
+
+    Row i's candidates are its columns first[i]:last[i], the kernels in
+    (t_low, t_high]; both bounds are kept as bit patterns, and low = -1 stands
+    for the float just below +0.0."""
+    last = np.full(hi.size, lo.size, np.intp)
+    low, high = -1, _bits(1.0)
+    bisect = False
+    while high - low > 1:
+        width = last - first
+        if width.sum() <= hi.size + lo.size:
+            row = np.repeat(np.arange(hi.size), width)
+            col = np.arange(row.size) + np.repeat(
+                first - (np.cumsum(width) - width), width)
+            kernels = _kernel(hi[row], lo[col], med)
+            base = int(first.sum())
+            kernels.partition([k1 - base, k2 - base])
+            return kernels[k1 - base], kernels[k2 - base]
+        if bisect:
+            probe = (low + high) // 2
+        else:
+            rows = np.flatnonzero(width)
+            medians = _kernel(hi[rows],
+                              lo[first[rows] + (width[rows] - 1) // 2], med)
+            order = np.argsort(medians)
+            weight = np.cumsum(width[rows][order])
+            pivot = medians[order[np.searchsorted(weight, weight[-1] / 2)]]
+            probe = min(max(_bits(pivot), low + 1), high - 1)
+        bisect = not bisect
+        count = _count_at_most(hi, lo, med, _float(probe), first, last)
+        at_most = int(count.sum())
+        if at_most <= k1:
+            low, first = probe, count
+        elif at_most > k2:
+            high, last = probe, count
+        else:  # the probe splits the middle pair
+            rows = np.flatnonzero(count > first)
+            return (_kernel(hi[rows], lo[count[rows] - 1], med).max(),
+                    _smallest_from(hi, lo, med, count))
+    return _float(high), _float(high)
+
+
+def medcouple(sample) -> float:
+    """Robust skewness in [-1, 1] (Brys, Hubert and Struyf, J. Comput. Graph.
+    Stat. 13, 2004): the median of the kernel
+    h(x+, x-) = ((x+ - Q2) - (Q2 - x-)) / (x+ - x-) over pairs strictly above
+    and below the median Q2.
+
+    Every computed kernel lies in [-1, 1], since rounding keeps the numerator
+    no larger than the denominator in magnitude. Pairs of values tied at the
+    median would add as many kernels -1 as +1 (signed by position), so they
+    cannot move the median and are not formed.
+
+    With both halves sorted the kernels form a matrix, one row per value above
+    Q2 and one column per value below it, in ascending order. Along a row
+    the rounded numerator grows and the rounded denominator shrinks, so each
+    row holds its negative kernels first and then the others in nondecreasing
+    order. The middle kernels are selected on this matrix without forming
+    it. Each row keeps a range of candidate columns; every round probes a
+    threshold t, counts the kernels <= t in each row by bisection within its
+    range, and cuts the ranges to the side that holds the middle pair. The
+    probes alternate between the weighted median of the row medians
+    (Johnson and Mizoguchi, SIAM J. Comput. 7, 1978) and the midpoint of the
+    float64 bit patterns between the bounds, which ends the search within
+    124 rounds. Once at most n candidates remain, `np.partition` picks the
+    middle pair among them. Only the nonnegative part of a row is sure to be
+    ordered, so no probe is negative: a negative middle is found on the
+    mirrored sample -x, whose kernels are exactly the negated ones. A round
+    costs O(n log n), so time is O(n log n) and memory O(n); the value is
+    bit for bit the `np.median` of all (n/2)^2 kernels."""
     v = np.sort(np.asarray(sample, dtype=float).ravel())
     if v.size < 3:
         raise ValueError("medcouple needs at least 3 values")
+    _require_finite(v, "medcouple")
     med = float(np.median(v))
     lo = v[v < med]
     hi = v[v > med]
@@ -113,32 +230,41 @@ def medcouple(sample) -> float:
         if np.all(v == v[0]):
             return 0.0
         raise ValueError("medcouple needs values on both sides of the median")
-    kernels = (((hi[:, None] - med) - (med - lo[None, :]))
-               / (hi[:, None] - lo[None, :])).ravel()
-    ties = int(np.count_nonzero(v == med))
-    if ties >= 2:
-        grid = np.sign(np.subtract.outer(np.arange(ties), np.arange(ties)))
-        kernels = np.concatenate([kernels, grid[~np.eye(ties, dtype=bool)]])
-    return float(np.median(kernels))
+    pairs = hi.size * lo.size
+    k1, k2 = (pairs - 1) // 2, pairs // 2
+    neg = _negative_counts(hi, lo, med)
+    if neg.sum() <= k1:
+        a, b = _select_nonnegative(hi, lo, med, neg, k1, k2)
+    else:
+        # -x has the negated kernels, so its k1-th is our k2-th and back
+        mhi, mlo = -lo[::-1], -hi[::-1]
+        mneg = _negative_counts(mhi, mlo, -med)
+        if mneg.sum() <= k1:
+            b, a = (-x for x in _select_nonnegative(mhi, mlo, -med, mneg,
+                                                     k1, k2))
+        else:  # half negative, half positive: the pair straddles 0
+            a = -_smallest_from(mhi, mlo, -med, mneg)
+            b = _smallest_from(hi, lo, med, neg)
+    return float(a) if k1 == k2 else float((a + b) / 2)
 
 
 def outlier_ratio(sample) -> float:
     """Fraction of points outside the medcouple-adjusted boxplot fence.
 
     For MC >= 0 the fence is [Q1 - 1.5 e^(-4 MC) IQR, Q3 + 1.5 e^(3 MC) IQR];
-    for MC < 0 the mirrored exponents (-3 MC and 4 MC) apply. Degenerate
-    samples fall back to the plain Tukey fence (MC = 0).
+    for MC < 0 the mirrored exponents (-3 MC and 4 MC) apply. A sample with
+    no values on one side of its median has no medcouple and gets the plain
+    Tukey fence (MC = 0).
     """
     v = np.asarray(sample, dtype=float).ravel()
     if v.size < 4:
         raise ValueError("outlier analysis needs at least 4 values")
+    _require_finite(v, "outlier analysis")
     q1 = percentile(v, 0.25)
     q3 = percentile(v, 0.75)
     iqr = q3 - q1
-    try:
-        mc = medcouple(v)
-    except ValueError:
-        mc = 0.0
+    med = np.median(v)
+    mc = medcouple(v) if v.min() < med < v.max() else 0.0
     if mc >= 0:
         low = q1 - 1.5 * np.exp(-4.0 * mc) * iqr
         high = q3 + 1.5 * np.exp(3.0 * mc) * iqr
@@ -269,9 +395,25 @@ def report_rows(reports) -> list[dict]:
     return [dict(zip(REPORT_COLUMNS, astuple(rep))) for rep in reports]
 
 
+@contextlib.contextmanager
+def _replacing(path, newline=None):
+    """Open a temporary file beside path for writing. It replaces path when
+    the block succeeds and is removed when the block raises, so path only
+    ever holds a whole file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_report_csv(reports, path):
     rows = report_rows(reports)
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
         writer.writeheader()
         for row in rows:
@@ -279,14 +421,14 @@ def write_report_csv(reports, path):
 
 
 def write_report_json(reports, path):
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         json.dump(report_rows(reports), fh, indent=2)
         fh.write("\n")
 
 
 def write_curve_csv(curve: PercentileCurve, path):
     """Plot data: the per-N percentile curve of one method."""
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["N", "infid_p95", "infid_mean", "M_p95",
                          "TP_p95_s", "TE_p95_s", "outlier_ratio"])

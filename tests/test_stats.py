@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ import scipy.special
 
 from qtbench.engine import RunResult
 from qtbench.states import TestKind
+from qtbench import stats
 from qtbench.stats import (
+    BenchmarkReport,
     PercentileCurve,
     build_curve,
     chi2_icdf,
@@ -25,6 +28,9 @@ from qtbench.stats import (
     outlier_ratio,
     percentile,
     rank_for_test,
+    write_curve_csv,
+    write_report_csv,
+    write_report_json,
 )
 
 
@@ -187,6 +193,36 @@ class TestEfficiency:
             efficiency(1e-4, 1000, 2, 1) / 2, rel=1e-12)
 
 
+def medcouple_oracle(sample):
+    """The O(n^2) definition: np.median over every kernel of a pair strictly
+    above and below the median, plus the signed +-1 kernels of pairs tied at
+    the median."""
+    v = np.sort(np.asarray(sample, dtype=float).ravel())
+    med = float(np.median(v))
+    lo = v[v < med]
+    hi = v[v > med]
+    kernels = (((hi[:, None] - med) - (med - lo[None, :]))
+               / (hi[:, None] - lo[None, :])).ravel()
+    ties = int(np.count_nonzero(v == med))
+    if ties >= 2:
+        grid = np.sign(np.subtract.outer(np.arange(ties), np.arange(ties)))
+        kernels = np.concatenate([kernels, grid[~np.eye(ties, dtype=bool)]])
+    return float(np.median(kernels))
+
+
+# six sample families: symmetric, heavy right tails, many ties (also at the
+# median), a spread of a few ulps, and a heavy left tail near 0
+MEDCOUPLE_FAMILIES = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "lognormal": lambda rng, n: rng.lognormal(0.0, 3.0, n),
+    "cubed_exponential": lambda rng, n: rng.exponential(size=n) ** 3,
+    "rounded_normal": lambda rng, n: np.round(2.0 * rng.standard_normal(n)),
+    "near_constant":
+        lambda rng, n: 1e-3 * (1 + 1e-12 * rng.standard_normal(n)),
+    "one_minus_beta": lambda rng, n: 1 - rng.beta(200.0, 1.0, n),
+}
+
+
 class TestMedcouple:
     def test_symmetric_triple(self):
         assert medcouple([1.0, 2.0, 3.0]) == 0.0
@@ -211,10 +247,65 @@ class TestMedcouple:
     def test_degenerate_sample(self):
         assert medcouple([2.0, 2.0, 2.0, 2.0]) == 0.0
 
+    def test_one_sided_sample_rejected(self):
+        with pytest.raises(ValueError, match="both sides of the median"):
+            medcouple([1.0, 1.0, 1.0, 2.0])
+
     def test_positively_skewed_is_positive(self):
         rng = np.random.default_rng(112)
         v = rng.chisquare(3, size=1001)
         assert medcouple(v) > 0.1
+
+    def test_equals_oracle_bit_for_bit(self):
+        # 2016 samples, n log-uniform in 3..3000; exact equality, not approx
+        rng = np.random.default_rng(116)
+        parities = set()
+        for name, draw in MEDCOUPLE_FAMILIES.items():
+            for n in np.round(np.geomspace(3, 3000, 336)).astype(int):
+                v = draw(rng, int(n))
+                med = np.median(v)
+                pairs = np.count_nonzero(v < med) * np.count_nonzero(v > med)
+                if pairs == 0 and np.any(v != v[0]):
+                    with pytest.raises(ValueError, match="both sides"):
+                        medcouple(v)
+                    continue
+                parities.add(pairs % 2)
+                assert medcouple(v) == medcouple_oracle(v), (name, n)
+        assert parities == {0, 1}
+
+    @pytest.mark.parametrize("v", [
+        [-3.0, -1.0, 2.0, 4.0],        # half the kernels < 0, half > 0
+        [-4.0, -2.0, 1.0, 3.0, 5.0],   # negative medcouple
+        [0.0, 1.0, 1.0, 1.0, 1.0, 2.0],
+        [-2.0, -1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0]])
+    def test_small_cases_equal_oracle(self, v):
+        assert medcouple(v) == medcouple_oracle(v)
+
+    def test_mirrored_sample_negates(self):
+        rng = np.random.default_rng(117)
+        for draw in MEDCOUPLE_FAMILIES.values():
+            v = draw(rng, 1001)
+            assert medcouple(-v) == -medcouple(v) == -medcouple_oracle(v)
+
+    def test_many_ties_equal_oracle(self):
+        # most kernels are exactly 0 or +-1/3: the search ends on a single float
+        v = np.round(np.random.default_rng(118).standard_normal(4000))
+        assert medcouple(v) == medcouple_oracle(v)
+
+    def test_peak_memory_at_twenty_thousand_values(self):
+        v = np.random.default_rng(119).exponential(size=20_000)
+        tracemalloc.start()
+        try:
+            medcouple(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="1 of 6 are NaN or infinite"):
+            medcouple([1.0, bad, 2.0, 3.0, 4.0, 5.0])
 
 
 class TestOutlierRatio:
@@ -261,6 +352,24 @@ class TestOutlierRatio:
         rng = np.random.default_rng(115)
         v = rng.chisquare(6, size=10_000)
         assert 0.001 <= outlier_ratio(v) <= 0.05
+
+    def test_one_sided_sample_uses_tukey_fence(self):
+        # no value below the median: MC = 0, IQR = 0, so 2 lies outside
+        assert outlier_ratio([1.0, 1.0, 1.0, 1.0, 2.0]) == 0.2
+
+    def test_medcouple_errors_propagate(self, monkeypatch):
+        def broken(sample):
+            raise ValueError("selection failed")
+        monkeypatch.setattr(stats, "medcouple", broken)
+        with pytest.raises(ValueError, match="selection failed"):
+            outlier_ratio([1.0, 2.0, 3.0, 4.0, 9.0])
+
+    @pytest.mark.parametrize("v", [[1.0, np.nan, 2.0, 3.0, 4.0, 5.0],
+                                   [1.0, 2.0, 3.0, np.inf, 5.0, 6.0]])
+    def test_non_finite_rejected(self, v):
+        with pytest.raises(ValueError, match="outlier analysis needs finite "
+                                             "values: 1 of 6"):
+            outlier_ratio(v)
 
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -422,3 +531,45 @@ class TestReportRows:
         assert rank_for_test(TestKind.RMSPT2, 4) == 2
         assert rank_for_test(TestKind.RMSPTD, 4) == 4
         assert rank_for_test(TestKind.RNP, 4) == 4
+
+
+class Unprintable:
+    """A cell whose text cannot be formed: writing it raises midway."""
+
+    def __str__(self):
+        raise RuntimeError("unprintable cell")
+
+
+class TestReportFilesAreReplacedWhole:
+    def good_files(self, tmp_path):
+        reports = [lower_bound_report(0.999, 4, 1)]
+        curve = flat_curve([1e3, 1e4], [1e-2, 1e-3])
+        writes = {"report.csv": (write_report_csv, reports),
+                  "report.json": (write_report_json, reports),
+                  "curve.csv": (write_curve_csv, curve)}
+        for name, (write, data) in writes.items():
+            write(data, tmp_path / name)
+        return writes
+
+    def test_failed_write_leaves_previous_file(self, tmp_path):
+        self.good_files(tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        bad_reports = [lower_bound_report(0.999, 4, 1),
+                       BenchmarkReport(Unprintable(), 1.0)]
+        bad_curve = flat_curve([1e3, 1e4], [1e-2, 1e-3])
+        bad_curve.outlier = np.array([0.01, Unprintable()], dtype=object)
+        with pytest.raises(RuntimeError, match="unprintable"):
+            write_report_csv(bad_reports, tmp_path / "report.csv")
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_report_json(bad_reports, tmp_path / "report.json")
+        with pytest.raises(RuntimeError, match="unprintable"):
+            write_curve_csv(bad_curve, tmp_path / "curve.csv")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_rewrite_replaces_file(self, tmp_path):
+        writes = self.good_files(tmp_path)
+        (tmp_path / "report.csv").write_text("stale\n")
+        write, data = writes["report.csv"]
+        write(data, tmp_path / "report.csv")
+        assert (tmp_path / "report.csv").read_text().startswith("method,N_B")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writes)
