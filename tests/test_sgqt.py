@@ -181,3 +181,23 @@ class TestPinnedRuns:
                     h.update(repr((r.fidelity, r.bases_count, r.failed,
                                    r.error, r.iterations)).encode())
         assert h.hexdigest() == self.PINNED_DIGEST
+
+    # the same digest, runs 0-4, base seed 7, test rps, dims 2,2 / 3 /
+    # 2,2,2, at N whose budget ends in a whole pair, so that estimate
+    # applies the last pair's update
+    WHOLE_PAIR_DIGEST = \
+        "530745c090d65268de80f5f5b91ca991d33a9560fe98a4b7dcd297c47ad4313d"
+
+    def test_whole_pair_runs_match_pinned_digest(self):
+        h = hashlib.sha256()
+        for dims in [(2, 2), (3,), (2, 2, 2)]:
+            config = CampaignConfig(dims=dims, test="rps", protocol="sgqt",
+                                    estimator=None, n_grid=(1000, 10000),
+                                    runs_per_n=5, base_seed=7)
+            for n in config.n_grid:
+                for run in range(config.runs_per_n):
+                    r = run_experiment(config, n, run)
+                    assert r.iterations == n // (2 * sgqt.SGQT_SHOTS)
+                    h.update(repr((r.fidelity, r.bases_count, r.failed,
+                                   r.error, r.iterations)).encode())
+        assert h.hexdigest() == self.WHOLE_PAIR_DIGEST
