@@ -3,14 +3,15 @@ import hashlib
 import numpy as np
 import pytest
 
+from qtbench import engine
 from qtbench.engine import (CampaignConfig, born_probabilities,
                             run_experiment, sample_counts)
-from qtbench.estimators import MeasurementRecord
+from qtbench.estimators import MeasurementRecord, RecordStack
 from qtbench.protocols import Povm
 from qtbench.qcore import fidelity, haar_vector, identity
 import qtbench.sgqt as sgqt
-from qtbench.sgqt import SgqtHandler
-from qtbench.states import gen_rps
+from qtbench.sgqt import SgqtHandler, _fix_phase
+from qtbench.states import gen_rps, generate_state
 
 
 def purity(rho):
@@ -160,6 +161,76 @@ class TestProjectorPairs:
                 assert np.array_equal(
                     handler._projector_spec(psi).povm.elements,
                     expected.elements)
+
+
+class TestHotPath:
+    """What a step computes cheaply equals what the plain numpy calls give."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    @pytest.mark.parametrize("pairs", [0, 1, 50])
+    def test_one_draw_equals_per_step_draws(self, d, pairs):
+        # numpy's bounded-int stream: one draw of a run's 2d-sign rows gives
+        # the values and the final generator state of one draw per step
+        rng = np.random.default_rng(100 + d)
+        handler = SgqtHandler((d,), pairs * 2 * sgqt.SGQT_SHOTS, rng)
+        ref = np.random.default_rng(100 + d)
+        haar_vector(d, ref)
+        rows = [ref.integers(0, 2, size=2 * d) * 2.0 - 1.0
+                for _ in range(pairs)]
+        assert handler._deltas.shape == (pairs, 2 * d)
+        assert np.array_equal(handler._deltas, np.reshape(rows, (pairs, 2 * d)))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_state_equals_linalg_norm_construction(self):
+        rng = np.random.default_rng(101)
+        for d in (2, 3, 4, 5, 8, 16):
+            handler = SgqtHandler((d,), 1000, rng)
+            for _ in range(40):
+                theta = rng.standard_normal(2 * d) * rng.uniform(0.1, 10.0)
+                psi = theta[:d] + 1j * theta[d:]
+                expected = _fix_phase(psi / np.linalg.norm(psi))
+                assert np.array_equal(handler._to_state(theta), expected)
+
+    def test_pair_is_c_ordered_like_a_stack(self):
+        handler = SgqtHandler((4,), 1000, np.random.default_rng(102))
+        psi = handler.psi
+        elements = handler._projector_spec(psi).povm.elements
+        proj = np.outer(psi, psi.conj())
+        stacked = np.stack([proj, identity(4) - proj])
+        assert elements.flags.c_contiguous
+        assert elements.strides == stacked.strides
+        assert np.array_equal(elements, stacked)
+
+    def test_record_list_stacks_only_the_last_pair(self, monkeypatch):
+        # a next-driven run on a record list, seeded as run_experiment seeds
+        # it: every update stacks two settings and the result is the engine's
+        config = CampaignConfig(dims=(2, 2), test="rps", protocol="sgqt",
+                                estimator=None, n_grid=(10_000,),
+                                runs_per_n=2, base_seed=7)
+        expected = run_experiment(config, 10_000, 0)
+        stacked = []
+        of = RecordStack.of.__func__
+
+        def spy(cls, records):
+            stack = of(cls, records)
+            stacked.append(len(stack))
+            return stack
+        monkeypatch.setattr(RecordStack, "of", classmethod(spy))
+
+        _, state_rng, proto_rng, sample_rng = engine._run_seed(config,
+                                                               10_000, 0)
+        rho = generate_state(config.test, config.dims, state_rng)
+        handler = SgqtHandler((2, 2), 10_000, proto_rng)
+        records, measured = [], 0
+        while (spec := handler.next(measured, records)) is not None:
+            probs = born_probabilities(rho, spec.povm)
+            records.append(MeasurementRecord(
+                spec, sample_counts(probs, spec.shots, sample_rng)))
+            measured += spec.shots
+        report = handler.estimate(records)
+        assert len(stacked) == report.iterations == 50
+        assert max(stacked) == 2
+        assert fidelity(rho, report.estimate) == expected.fidelity
 
 
 class TestPinnedRuns:
